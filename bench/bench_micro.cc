@@ -1,7 +1,8 @@
 // Substrate micro-benchmarks (google-benchmark): the primitive costs
 // underneath the paper tables — B+tree point ops, object store CRUD,
-// buffer-pool hit path, slotted-page ops, WAL appends, CRC32, bitmap
-// inversion. Useful for attributing where the macro numbers come from.
+// buffer-pool hit path, page read + verify (the miss path), slotted-page
+// ops, WAL appends, CRC32, bitmap inversion. Useful for attributing
+// where the macro numbers come from.
 
 #include <benchmark/benchmark.h>
 
@@ -85,6 +86,25 @@ void BM_BufferPoolHit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BufferPoolHit);
+
+// What a buffer-pool miss pays below the pool: FileManager::ReadPage of
+// a page the OS already caches — one pread plus the checksum verify.
+void BM_PageReadVerify(benchmark::State& state) {
+  std::string dir = ScratchDir("read");
+  hm::storage::FileManager fm;
+  (void)fm.Open(dir + "/r.db");
+  hm::storage::PageId id = *fm.AllocatePage();
+  hm::storage::Page page;
+  hm::util::Rng rng(1);
+  for (uint32_t i = 0; i < hm::storage::kPagePayloadSize; ++i) {
+    page.payload()[i] = static_cast<char>(rng.Next64());
+  }
+  (void)fm.WritePage(id, &page);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(fm.ReadPage(id, &page).ok());
+  }
+}
+BENCHMARK(BM_PageReadVerify);
 
 // ---------- BPlusTree ----------
 

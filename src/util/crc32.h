@@ -7,9 +7,10 @@
 
 namespace hm::util {
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected) over `data`. Used as the
-/// integrity checksum on pages and WAL records; `seed` allows chaining
-/// partial computations.
+/// CRC-32 (IEEE 802.3 polynomial, reflected) over `data`, computed
+/// slicing-by-8 (8 bytes per table step). Used as the integrity
+/// checksum on pages, WAL records and wire frames; `seed` allows
+/// chaining partial computations: Crc32(b, Crc32(a)) == Crc32(a + b).
 uint32_t Crc32(std::string_view data, uint32_t seed = 0);
 
 /// Masks a CRC so that a CRC stored alongside the data it covers does

@@ -2,12 +2,14 @@
 // build must allow every descending acquisition chain and abort — with
 // the diagnostic naming the ranks — on the first ascending or
 // same-rank one. In Release (no HM_LOCK_RANK_CHECKS) the wrappers are
-// plain std mutexes and only the passthrough test below compiles in.
+// forwarding shells around the std mutexes and only the passthrough
+// checks below compile in.
 
 #include "util/lock_rank.h"
 
 #include <gtest/gtest.h>
 
+#include <concepts>
 #include <condition_variable>
 #include <mutex>
 #include <shared_mutex>
@@ -40,6 +42,29 @@ TEST(LockRankTest, StandardLockIdiomsCompileAndRun) {
   EXPECT_TRUE(wal.try_lock());
   wal.unlock();
 }
+
+// What the wrappers promise in every build flavor: not copyable, and
+// the Lockable (plus, for the shared one, SharedLockable) calls.
+template <typename M>
+concept Lockable = requires(M& m) {
+  m.lock();
+  { m.try_lock() } -> std::same_as<bool>;
+  m.unlock();
+};
+template <typename M>
+concept SharedLockable = Lockable<M> && requires(M& m) {
+  m.lock_shared();
+  { m.try_lock_shared() } -> std::same_as<bool>;
+  m.unlock_shared();
+};
+using WalMutex = RankedMutex<LockRank::kWal>;
+using DispatchMutex = RankedSharedMutex<LockRank::kServerDispatch>;
+static_assert(!std::is_copy_constructible_v<WalMutex> &&
+              !std::is_copy_assignable_v<WalMutex>);
+static_assert(!std::is_copy_constructible_v<DispatchMutex> &&
+              !std::is_copy_assignable_v<DispatchMutex>);
+static_assert(Lockable<WalMutex>);
+static_assert(SharedLockable<DispatchMutex>);
 
 #ifdef HM_LOCK_RANK_CHECKS
 
@@ -118,12 +143,8 @@ TEST(LockRankDeathTest, UnlockWithoutLockAborts) {
 
 #else  // !HM_LOCK_RANK_CHECKS
 
-// Release passthrough: the wrapper must literally be the std type.
-static_assert(
-    std::is_base_of_v<std::mutex, RankedMutex<LockRank::kWal>>);
-static_assert(std::is_base_of_v<
-              std::shared_mutex,
-              RankedSharedMutex<LockRank::kServerDispatch>>);
+// Release passthrough: forwarding shells with no rank state, so each
+// is exactly the size of the std mutex it wraps.
 static_assert(sizeof(RankedMutex<LockRank::kWal>) == sizeof(std::mutex));
 static_assert(sizeof(RankedSharedMutex<LockRank::kServerDispatch>) ==
               sizeof(std::shared_mutex));

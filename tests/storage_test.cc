@@ -7,6 +7,7 @@
 #include <fstream>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "storage/buffer_pool.h"
 #include "storage/commit_pipeline/segmented_wal.h"
@@ -56,6 +57,23 @@ TEST(PageTest, ChecksumDetectsCorruption) {
   EXPECT_TRUE(page.ChecksumOk());
   page.payload()[100] = 'y';
   EXPECT_FALSE(page.ChecksumOk());
+  page.payload()[100] = 'x';
+  ASSERT_TRUE(page.ChecksumOk());
+
+  // The checksum covers bytes [4, kPageSize). 8188 is not a multiple of
+  // 8, so the last 4 bytes go through the kernel's tail loop: a flip at
+  // the first covered byte, mid-page and in each of the last 8 bytes
+  // must all be caught.
+  std::vector<size_t> positions = {4, kPageSize / 2};
+  for (size_t pos = kPageSize - 8; pos < kPageSize; ++pos) {
+    positions.push_back(pos);
+  }
+  for (size_t pos : positions) {
+    page.raw()[pos] ^= 0x01;
+    EXPECT_FALSE(page.ChecksumOk()) << "flip at byte " << pos;
+    page.raw()[pos] ^= 0x01;
+    EXPECT_TRUE(page.ChecksumOk()) << "restore at byte " << pos;
+  }
 }
 
 TEST(PageTest, ZeroPageVerifies) {
