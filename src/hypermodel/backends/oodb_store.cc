@@ -221,9 +221,12 @@ util::Status OodbStore::RebuildIndexes() {
   by_million_.emplace(million);
   for (Oid oid = 1; oid < store_->next_oid(); ++oid) {
     if (!store_->Exists(oid)) continue;
-    HM_ASSIGN_OR_RETURN(std::string data, store_->Read(oid));
-    if (data.empty() || static_cast<uint8_t>(data[0]) != kTagNode) continue;
-    HM_ASSIGN_OR_RETURN(NodeRecord rec, NodeRecord::Decode(data));
+    util::Result<std::string> data = store_->Read(oid);
+    HM_RETURN_IF_ERROR(data.status());
+    if (data->empty() || static_cast<uint8_t>(data->front()) != kTagNode) {
+      continue;
+    }
+    HM_ASSIGN_OR_RETURN(NodeRecord rec, NodeRecord::Decode(*data));
     HM_RETURN_IF_ERROR(by_unique_->Insert(
         Key128{static_cast<uint64_t>(rec.unique_id), 0}, oid));
     HM_RETURN_IF_ERROR(by_hundred_->Insert(

@@ -27,11 +27,11 @@ std::string ErrnoMessage(const std::string& what, const std::string& path) {
 void SplitPath(const std::string& path, std::string* dir, std::string* name) {
   size_t slash = path.find_last_of('/');
   if (slash == std::string::npos) {
-    *dir = ".";
-    *name = path;
+    dir->assign(1, '.');
+    name->assign(path);
   } else {
-    *dir = slash == 0 ? "/" : path.substr(0, slash);
-    *name = path.substr(slash + 1);
+    dir->assign(path, 0, slash == 0 ? 1 : slash);  // keep the root "/"
+    name->assign(path, slash + 1);
   }
 }
 

@@ -1,6 +1,7 @@
 #ifndef HM_STORAGE_PAGE_H_
 #define HM_STORAGE_PAGE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 
@@ -83,12 +84,15 @@ class Page {
   }
 
   /// Verifies the stored checksum. A page of all zeroes (never
-  /// written) also verifies, so freshly allocated pages pass.
+  /// written) also verifies; a zero checksum word over any other
+  /// content does not, so zeroing the word cannot hide a corrupt body.
   bool ChecksumOk() const {
     uint32_t stored = util::DecodeFixed32(data_);
-    if (stored == 0) return true;  // never checksummed
     uint32_t crc = util::Crc32(std::string_view(data_ + 4, kPageSize - 4));
-    return util::UnmaskCrc(stored) == crc;
+    if (util::UnmaskCrc(stored) == crc) return true;
+    return stored == 0 &&
+           std::all_of(data_ + 4, data_ + kPageSize,
+                       [](char c) { return c == 0; });
   }
 
   void Zero() { std::memset(data_, 0, kPageSize); }

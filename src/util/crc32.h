@@ -7,10 +7,14 @@
 
 namespace hm::util {
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected) over `data`, computed
-/// slicing-by-8 (8 bytes per table step). Used as the integrity
-/// checksum on pages, WAL records and wire frames; `seed` allows
-/// chaining partial computations: Crc32(b, Crc32(a)) == Crc32(a + b).
+/// CRC-32 (IEEE 802.3 polynomial, reflected) over `data`. Inputs of 64
+/// bytes or more fold 16 bytes at a time with carry-less multiply
+/// (PCLMULQDQ) when the CPU has it, chosen once per process; shorter
+/// inputs, the last 0-15 bytes, and every input elsewhere go through a
+/// slicing-by-8 table loop. Both give the same bits. Used as the
+/// integrity checksum on pages, WAL records and wire frames; `seed`
+/// allows chaining partial computations:
+/// Crc32(b, Crc32(a)) == Crc32(a + b).
 uint32_t Crc32(std::string_view data, uint32_t seed = 0);
 
 /// Masks a CRC so that a CRC stored alongside the data it covers does

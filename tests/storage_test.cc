@@ -159,6 +159,45 @@ TEST_F(FileManagerTest, DetectsOnDiskCorruption) {
   EXPECT_TRUE(fm.ReadPage(0, &page).IsCorruption());
 }
 
+TEST_F(FileManagerTest, ZeroedChecksumWordDoesNotHideCorruption) {
+  {
+    FileManager fm;
+    ASSERT_TRUE(fm.Open(Path("z.db")).ok());
+    ASSERT_TRUE(fm.AllocatePage().ok());
+    Page page;
+    page.set_page_id(0);
+    page.payload()[10] = 'A';
+    ASSERT_TRUE(fm.WritePage(0, &page).ok());
+    ASSERT_TRUE(fm.Close().ok());
+  }
+  // Zero the stored checksum word (bytes 0..3) and flip a body byte.
+  {
+    std::fstream f(Path("z.db"),
+                   std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(0);
+    f.write("\0\0\0\0", 4);
+    f.seekp(1000);
+    f.put('!');
+  }
+  FileManager fm;
+  ASSERT_TRUE(fm.Open(Path("z.db")).ok());
+  Page page;
+  EXPECT_TRUE(fm.ReadPage(0, &page).IsCorruption());
+}
+
+TEST_F(FileManagerTest, NeverWrittenZeroPageReadsOk) {
+  // A page the file was extended by but that was never written.
+  {
+    std::ofstream f(Path("n.db"), std::ios::binary);
+    f << std::string(kPageSize, '\0');
+  }
+  FileManager fm;
+  ASSERT_TRUE(fm.Open(Path("n.db")).ok());
+  ASSERT_EQ(fm.page_count(), 1u);
+  Page page;
+  EXPECT_TRUE(fm.ReadPage(0, &page).ok());
+}
+
 TEST_F(FileManagerTest, RejectsUnalignedFile) {
   {
     std::ofstream f(Path("e.db"), std::ios::binary);

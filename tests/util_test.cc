@@ -6,11 +6,15 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "util/bitmap.h"
 #include "util/check.h"
 #include "util/coding.h"
 #include "util/crc32.h"
+#include "util/crc32_internal.h"
 #include "util/random.h"
 #include "util/status.h"
 #include "util/text.h"
@@ -297,7 +301,7 @@ TEST(Crc32Test, DetectsSingleBitFlip) {
 }
 
 // Reference: the plain byte-at-a-time, bit-at-a-time CRC-32/IEEE, with
-// no tables. The sliced kernel must agree with it bit for bit.
+// no tables. Every kernel must agree with it bit for bit.
 uint32_t ReferenceCrc32(std::string_view data, uint32_t seed = 0) {
   uint32_t crc = ~seed;
   for (unsigned char byte : data) {
@@ -316,16 +320,45 @@ std::string RandomBytes(size_t n, uint64_t seed) {
   return out;
 }
 
+using Crc32Kernel = uint32_t (*)(std::string_view, uint32_t);
+
+// Every kernel this host can run, whichever Crc32 selects: the table
+// kernel must stay correct on inputs of 64 bytes or more even where
+// the folding kernel takes them.
+std::vector<std::pair<const char*, Crc32Kernel>> HostKernels() {
+  std::vector<std::pair<const char*, Crc32Kernel>> kernels = {
+      {"Crc32", [](std::string_view d, uint32_t s) { return Crc32(d, s); }},
+      {"table", crc32_internal::TableKernel}};
+#if defined(__x86_64__)
+  if (crc32_internal::FoldSupported()) {
+    kernels.emplace_back("fold", crc32_internal::FoldKernel);
+  }
+#endif
+  return kernels;
+}
+
 TEST(Crc32Test, MatchesReferenceAtEveryLengthAndOffset) {
-  // Lengths 0..300 from every start offset 0..7 exercise every
-  // alignment, every tail length and the 8-byte loop's boundaries.
-  const std::string buf = RandomBytes(300 + 8, 7);
+  // Lengths 0..300 cover every tail length of both kernels, the fold
+  // kernel's 64-byte threshold and its 64- and 16-byte loops; the large
+  // lengths cover page bodies (8188) and long 64-byte loops. Offsets
+  // 0..15 cover every alignment of a 16-byte load.
+  std::vector<size_t> lengths;
+  for (size_t len = 0; len <= 300; ++len) lengths.push_back(len);
+  for (size_t len : {1023, 1024, 1025, 8188, 8192, 65536}) {
+    lengths.push_back(len);
+  }
+  const std::string buf = RandomBytes(65536 + 16, 7);
+  const auto kernels = HostKernels();
   for (uint32_t seed : {0u, 0xCBF43926U}) {
-    for (size_t offset = 0; offset < 8; ++offset) {
-      for (size_t len = 0; len <= 300; ++len) {
+    for (size_t offset = 0; offset < 16; ++offset) {
+      for (size_t len : lengths) {
         std::string_view view(buf.data() + offset, len);
-        ASSERT_EQ(Crc32(view, seed), ReferenceCrc32(view, seed))
-            << "offset " << offset << " len " << len << " seed " << seed;
+        const uint32_t want = ReferenceCrc32(view, seed);
+        for (const auto& [name, kernel] : kernels) {
+          ASSERT_EQ(kernel(view, seed), want)
+              << name << " offset " << offset << " len " << len << " seed "
+              << seed;
+        }
       }
     }
   }
@@ -340,15 +373,34 @@ TEST(Crc32Test, MatchesReferenceOnPageBody) {
 }
 
 TEST(Crc32Test, ChainsAtEverySplitPoint) {
-  const std::string buf = RandomBytes(64, 13);
-  const uint32_t whole = Crc32(buf);
-  EXPECT_EQ(whole, ReferenceCrc32(buf));
-  for (size_t split = 0; split <= buf.size(); ++split) {
-    std::string_view a(buf.data(), split);
-    std::string_view b(buf.data() + split, buf.size() - split);
-    EXPECT_EQ(Crc32(b, Crc32(a)), whole) << "split " << split;
+  // 256 bytes: a split under 64 or over 192 puts one side under the
+  // 64-byte fold threshold and the other over it, so Crc32 chains a
+  // table-kernel result into the fold kernel and back.
+  const std::string buf = RandomBytes(256, 13);
+  const uint32_t whole = ReferenceCrc32(buf);
+  for (const auto& [name, kernel] : HostKernels()) {
+    EXPECT_EQ(kernel(buf, 0), whole) << name;
+    for (size_t split = 0; split <= buf.size(); ++split) {
+      std::string_view a(buf.data(), split);
+      std::string_view b(buf.data() + split, buf.size() - split);
+      EXPECT_EQ(kernel(b, kernel(a, 0)), whole)
+          << name << " split " << split;
+    }
   }
 }
+
+#if defined(__x86_64__)
+TEST(Crc32Test, FoldKernelSelectedWhereHostSupportsIt) {
+  // Keeps the fast path from switching itself off unnoticed: a host
+  // that reports the instructions must get the folding kernel.
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("pclmul") && __builtin_cpu_supports("sse4.1")) {
+    EXPECT_TRUE(crc32_internal::FoldSupported());
+  } else {
+    EXPECT_FALSE(crc32_internal::FoldSupported());
+  }
+}
+#endif
 
 TEST(Crc32Test, MaskRoundTrips) {
   for (uint32_t crc : {0u, 1u, 0xFFFFFFFFu, 0x12345678u}) {
