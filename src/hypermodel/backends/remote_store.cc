@@ -98,7 +98,7 @@ util::Status GetEdgeList(util::Decoder* decoder, std::vector<RefEdge>* out) {
 }
 
 /// Pre-order assembly over a fetched child map — the local half of the
-/// batched 1-N fallbacks. Iterative so a deep hierarchy cannot blow
+/// batched 1-N kernels. Iterative so a deep hierarchy cannot blow
 /// the stack; the reverse push makes the first child pop first,
 /// matching the recursive kernel's order exactly.
 void AssemblePreorder(
@@ -436,33 +436,6 @@ telemetry::Counter* RemoteStore::RoundTrips() {
   return roundtrips_;
 }
 
-void RemoteStore::DegradeBatch() {
-  if (server_batch_) {
-    telemetry::Registry::Global()
-        .GetCounter("remote.degrade.batch")
-        ->Add();
-    server_batch_ = false;
-  }
-}
-
-void RemoteStore::DegradeMulti() {
-  if (server_multi_) {
-    telemetry::Registry::Global()
-        .GetCounter("remote.degrade.multi")
-        ->Add();
-    server_multi_ = false;
-  }
-}
-
-void RemoteStore::DegradePushdown() {
-  if (server_traversal_) {
-    telemetry::Registry::Global()
-        .GetCounter("remote.degrade.pushdown")
-        ->Add();
-    server_traversal_ = false;
-  }
-}
-
 util::Status RemoteStore::CallOnce(server::OpCode op,
                                    std::string_view body,
                                    std::string* result) {
@@ -541,28 +514,21 @@ util::Status RemoteStore::CallManyOnce(
         util::PutLengthPrefixed(&body, payload);
       }
       std::string result;
-      util::Status status = Call(server::OpCode::kBatch, body, &result);
-      if (status.code() == util::StatusCode::kNotSupported) {
-        // v1 server that slipped past the handshake guess; drop to
-        // pipelined singles for good.
-        DegradeBatch();
-      } else {
-        HM_RETURN_IF_ERROR(status);
-        std::vector<std::string_view> subs;
-        if (!server::DecodeBatch(result, &subs, chunk.size()) ||
-            subs.size() != chunk.size()) {
+      HM_RETURN_IF_ERROR(Call(server::OpCode::kBatch, body, &result));
+      std::vector<std::string_view> subs;
+      if (!server::DecodeBatch(result, &subs, chunk.size()) ||
+          subs.size() != chunk.size()) {
+        return util::Status::Corruption("remote: bad batch response");
+      }
+      for (std::string_view sub : subs) {
+        util::Status sub_status;
+        std::string_view sub_body;
+        if (!server::SplitResponse(sub, &sub_status, &sub_body)) {
           return util::Status::Corruption("remote: bad batch response");
         }
-        for (std::string_view sub : subs) {
-          util::Status sub_status;
-          std::string_view sub_body;
-          if (!server::SplitResponse(sub, &sub_status, &sub_body)) {
-            return util::Status::Corruption("remote: bad batch response");
-          }
-          out->emplace_back(std::move(sub_status), std::string(sub_body));
-        }
-        continue;
+        out->emplace_back(std::move(sub_status), std::string(sub_body));
       }
+      continue;
     }
     // Pipelined: every frame in one send, then the responses drained
     // in order (the server peels buffered frames before recv'ing).
@@ -596,29 +562,21 @@ util::Status RemoteStore::Hello() {
   util::PutVarint64(&hello_body, server::kWireVersion);
   std::string result;
   HM_RETURN_IF_ERROR(Call(server::OpCode::kHello, hello_body, &result));
-  util::Decoder decoder(result);
-  std::string_view name;
   if (result.empty()) {
     return util::Status::Corruption("remote: short Hello response");
   }
-  uint8_t version = static_cast<uint8_t>(result[0]);
+  const auto version = static_cast<uint8_t>(result[0]);
+  if (version != server::kWireVersion) {
+    return util::Status::InvalidArgument(
+        PeerTag() + ": wire version mismatch: client " +
+        std::to_string(server::kWireVersion) + ", server " +
+        std::to_string(version));
+  }
+  util::Decoder decoder(result);
   decoder.Skip(1);
+  std::string_view name;
   if (!decoder.GetLengthPrefixed(&name)) {
     return util::Status::Corruption("remote: short Hello response");
-  }
-  if (version < server::kMinWireVersion || version > server::kWireVersion) {
-    return util::Status::InvalidArgument(
-        "remote: wire version mismatch (server negotiated " +
-        std::to_string(version) + ", client speaks " +
-        std::to_string(server::kMinWireVersion) + ".." +
-        std::to_string(server::kWireVersion) + ")");
-  }
-  negotiated_version_ = version;
-  if (negotiated_version_ < 2) {
-    // v1 server: no batch frames, no fused ops, no pushdown.
-    DegradeBatch();
-    DegradeMulti();
-    DegradePushdown();
   }
   server_backend_ = std::string(name);
   return util::Status::Ok();
@@ -629,8 +587,6 @@ util::Status RemoteStore::ResetServer() {
 }
 
 util::Status RemoteStore::Ping() {
-  // Like ServerStats: sent regardless of the negotiated version; a
-  // pre-v4 server answers NotSupported and the caller sees it as-is.
   return Call(server::OpCode::kPing, {}, nullptr);
 }
 
@@ -1076,46 +1032,31 @@ util::Status RemoteStore::ChildrenMulti(
     std::span<const NodeRef> nodes, std::vector<std::vector<NodeRef>>* out) {
   out->clear();
   if (nodes.empty()) return util::Status::Ok();
-  if (UseMultiOps()) {
-    out->reserve(nodes.size());
-    bool fused_ok = true;
-    for (size_t begin = 0; begin < nodes.size() && fused_ok;
-         begin += kMultiChunk) {
-      std::span<const NodeRef> chunk =
-          nodes.subspan(begin, std::min(kMultiChunk, nodes.size() - begin));
-      std::string body;
-      util::PutVarint64(&body, chunk.size());
-      for (NodeRef node : chunk) PutNode(&body, node);
-      std::string result;
-      util::Status status =
-          Call(server::OpCode::kChildrenMulti, body, &result);
-      if (status.code() == util::StatusCode::kNotSupported) {
-        DegradeMulti();
-        fused_ok = false;
-        break;
-      }
-      HM_RETURN_IF_ERROR(status);
-      util::Decoder decoder(result);
-      uint64_t count = 0;
-      if (!decoder.GetVarint64(&count) || count != chunk.size()) {
-        return util::Status::Corruption(
-            "remote: bad ChildrenMulti response");
-      }
-      for (uint64_t i = 0; i < count; ++i) {
-        out->emplace_back();
-        HM_RETURN_IF_ERROR(GetRefList(&decoder, &out->back()));
-      }
-    }
-    if (fused_ok) return util::Status::Ok();
-    out->clear();
-  }
-  if (mode_ != RemoteMode::kPerCall) {
-    return RefListCallMany(server::OpCode::kChildren, nodes, out);
-  }
   out->reserve(nodes.size());
-  for (NodeRef node : nodes) {
-    out->emplace_back();
-    HM_RETURN_IF_ERROR(Children(node, &out->back()));
+  if (!UseMultiOps()) {
+    for (NodeRef node : nodes) {
+      out->emplace_back();
+      HM_RETURN_IF_ERROR(Children(node, &out->back()));
+    }
+    return util::Status::Ok();
+  }
+  for (size_t begin = 0; begin < nodes.size(); begin += kMultiChunk) {
+    std::span<const NodeRef> chunk =
+        nodes.subspan(begin, std::min(kMultiChunk, nodes.size() - begin));
+    std::string body;
+    util::PutVarint64(&body, chunk.size());
+    for (NodeRef node : chunk) PutNode(&body, node);
+    std::string result;
+    HM_RETURN_IF_ERROR(Call(server::OpCode::kChildrenMulti, body, &result));
+    util::Decoder decoder(result);
+    uint64_t count = 0;
+    if (!decoder.GetVarint64(&count) || count != chunk.size()) {
+      return util::Status::Corruption("remote: bad ChildrenMulti response");
+    }
+    for (uint64_t i = 0; i < count; ++i) {
+      out->emplace_back();
+      HM_RETURN_IF_ERROR(GetRefList(&decoder, &out->back()));
+    }
   }
   return util::Status::Ok();
 }
@@ -1125,78 +1066,38 @@ util::Status RemoteStore::GetAttrsMulti(std::span<const NodeRef> nodes,
                                         std::vector<int64_t>* values) {
   values->clear();
   if (nodes.empty()) return util::Status::Ok();
-  if (UseMultiOps()) {
-    values->reserve(nodes.size());
-    bool fused_ok = true;
-    for (size_t begin = 0; begin < nodes.size() && fused_ok;
-         begin += kMultiChunk) {
-      std::span<const NodeRef> chunk =
-          nodes.subspan(begin, std::min(kMultiChunk, nodes.size() - begin));
-      std::string body;
-      util::PutVarint64(&body, static_cast<uint64_t>(attr));
-      util::PutVarint64(&body, chunk.size());
-      for (NodeRef node : chunk) PutNode(&body, node);
-      std::string result;
-      util::Status status =
-          Call(server::OpCode::kGetAttrsMulti, body, &result);
-      if (status.code() == util::StatusCode::kNotSupported) {
-        DegradeMulti();
-        fused_ok = false;
-        break;
-      }
-      HM_RETURN_IF_ERROR(status);
-      util::Decoder decoder(result);
-      uint64_t count = 0;
-      if (!decoder.GetVarint64(&count) || count != chunk.size()) {
-        return util::Status::Corruption(
-            "remote: bad GetAttrsMulti response");
-      }
-      for (uint64_t i = 0; i < count; ++i) {
-        int64_t value = 0;
-        if (!decoder.GetVarSigned64(&value)) {
-          return util::Status::Corruption(
-              "remote: bad GetAttrsMulti response");
-        }
-        values->push_back(value);
-      }
+  if (!UseMultiOps()) return traversal::BulkGetAttr(this, nodes, attr, values);
+  values->reserve(nodes.size());
+  for (size_t begin = 0; begin < nodes.size(); begin += kMultiChunk) {
+    std::span<const NodeRef> chunk =
+        nodes.subspan(begin, std::min(kMultiChunk, nodes.size() - begin));
+    std::string body;
+    util::PutVarint64(&body, static_cast<uint64_t>(attr));
+    util::PutVarint64(&body, chunk.size());
+    for (NodeRef node : chunk) PutNode(&body, node);
+    std::string result;
+    HM_RETURN_IF_ERROR(Call(server::OpCode::kGetAttrsMulti, body, &result));
+    util::Decoder decoder(result);
+    uint64_t count = 0;
+    if (!decoder.GetVarint64(&count) || count != chunk.size()) {
+      return util::Status::Corruption("remote: bad GetAttrsMulti response");
     }
-    if (fused_ok) return util::Status::Ok();
-    values->clear();
-  }
-  if (mode_ != RemoteMode::kPerCall) {
-    std::vector<std::string> payloads;
-    payloads.reserve(nodes.size());
-    for (NodeRef node : nodes) {
-      std::string payload;
-      payload.push_back(static_cast<char>(server::OpCode::kGetAttr));
-      PutNode(&payload, node);
-      util::PutVarint64(&payload, static_cast<uint64_t>(attr));
-      payloads.push_back(std::move(payload));
-    }
-    std::vector<std::pair<util::Status, std::string>> results;
-    HM_RETURN_IF_ERROR(CallMany(payloads, &results));
-    values->reserve(nodes.size());
-    for (auto& [status, body] : results) {
-      HM_RETURN_IF_ERROR(status);
-      util::Decoder decoder(body);
+    for (uint64_t i = 0; i < count; ++i) {
       int64_t value = 0;
       if (!decoder.GetVarSigned64(&value)) {
-        return util::Status::Corruption("remote: short GetAttr response");
+        return util::Status::Corruption("remote: bad GetAttrsMulti response");
       }
       values->push_back(value);
     }
-    return util::Status::Ok();
   }
-  return traversal::BulkGetAttr(this, nodes, attr, values);
+  return util::Status::Ok();
 }
 
 // --- TraversalCapable -------------------------------------------------
 //
-// Each kernel tries the pushdown opcode (one round-trip), degrades to
-// the batched level-synchronous walk (O(depth) round-trips), and
-// bottoms out at the generic per-call kernel. A NotSupported answer
-// permanently clears the capability so a v1 server pays the probe
-// exactly once.
+// Each kernel follows the mode: pushdown sends one opcode (one round
+// trip), batched runs the level-synchronous walk (O(depth) round
+// trips), and percall runs the generic per-call kernel.
 
 util::Status RemoteStore::BulkGetAttr(std::span<const NodeRef> nodes,
                                       Attr attr,
@@ -1213,14 +1114,10 @@ util::Status RemoteStore::TravClosure1N(NodeRef start,
     std::string body;
     PutNode(&body, start);
     std::string result;
-    util::Status status = Call(server::OpCode::kClosure1N, body, &result);
-    if (status.code() != util::StatusCode::kNotSupported) {
-      HM_RETURN_IF_ERROR(status);
-      out->clear();
-      util::Decoder decoder(result);
-      return GetRefList(&decoder, out);
-    }
-    DegradePushdown();
+    HM_RETURN_IF_ERROR(Call(server::OpCode::kClosure1N, body, &result));
+    out->clear();
+    util::Decoder decoder(result);
+    return GetRefList(&decoder, out);
   }
   if (mode_ != RemoteMode::kPerCall) return BatchedClosure1N(start, out);
   return traversal::Closure1N(this, start, out);
@@ -1232,21 +1129,16 @@ util::Result<int64_t> RemoteStore::TravClosure1NAttSum(NodeRef start,
     std::string body;
     PutNode(&body, start);
     std::string result;
-    util::Status status =
-        Call(server::OpCode::kClosure1NAttSum, body, &result);
-    if (status.code() != util::StatusCode::kNotSupported) {
-      HM_RETURN_IF_ERROR(status);
-      util::Decoder decoder(result);
-      uint64_t count = 0;
-      int64_t sum = 0;
-      if (!decoder.GetVarint64(&count) || !decoder.GetVarSigned64(&sum)) {
-        return util::Status::Corruption(
-            "remote: short Closure1NAttSum response");
-      }
-      if (visited != nullptr) *visited = count;
-      return sum;
+    HM_RETURN_IF_ERROR(Call(server::OpCode::kClosure1NAttSum, body, &result));
+    util::Decoder decoder(result);
+    uint64_t count = 0;
+    int64_t sum = 0;
+    if (!decoder.GetVarint64(&count) || !decoder.GetVarSigned64(&sum)) {
+      return util::Status::Corruption(
+          "remote: short Closure1NAttSum response");
     }
-    DegradePushdown();
+    if (visited != nullptr) *visited = count;
+    return sum;
   }
   if (mode_ != RemoteMode::kPerCall) {
     return BatchedClosure1NAttSum(start, visited);
@@ -1259,19 +1151,14 @@ util::Result<uint64_t> RemoteStore::TravClosure1NAttSet(NodeRef start) {
     std::string body;
     PutNode(&body, start);
     std::string result;
-    util::Status status =
-        Call(server::OpCode::kClosure1NAttSet, body, &result);
-    if (status.code() != util::StatusCode::kNotSupported) {
-      HM_RETURN_IF_ERROR(status);
-      util::Decoder decoder(result);
-      uint64_t count = 0;
-      if (!decoder.GetVarint64(&count)) {
-        return util::Status::Corruption(
-            "remote: short Closure1NAttSet response");
-      }
-      return count;
+    HM_RETURN_IF_ERROR(Call(server::OpCode::kClosure1NAttSet, body, &result));
+    util::Decoder decoder(result);
+    uint64_t count = 0;
+    if (!decoder.GetVarint64(&count)) {
+      return util::Status::Corruption(
+          "remote: short Closure1NAttSet response");
     }
-    DegradePushdown();
+    return count;
   }
   if (mode_ != RemoteMode::kPerCall) return BatchedClosure1NAttSet(start);
   return traversal::Closure1NAttSet(this, start);
@@ -1286,15 +1173,10 @@ util::Status RemoteStore::TravClosure1NPred(NodeRef start, int64_t lo,
     util::PutVarSigned64(&body, lo);
     util::PutVarSigned64(&body, hi);
     std::string result;
-    util::Status status =
-        Call(server::OpCode::kClosure1NPred, body, &result);
-    if (status.code() != util::StatusCode::kNotSupported) {
-      HM_RETURN_IF_ERROR(status);
-      out->clear();
-      util::Decoder decoder(result);
-      return GetRefList(&decoder, out);
-    }
-    DegradePushdown();
+    HM_RETURN_IF_ERROR(Call(server::OpCode::kClosure1NPred, body, &result));
+    out->clear();
+    util::Decoder decoder(result);
+    return GetRefList(&decoder, out);
   }
   if (mode_ != RemoteMode::kPerCall) {
     return BatchedClosure1NPred(start, lo, hi, out);
@@ -1308,14 +1190,10 @@ util::Status RemoteStore::TravClosureMN(NodeRef start,
     std::string body;
     PutNode(&body, start);
     std::string result;
-    util::Status status = Call(server::OpCode::kClosureMN, body, &result);
-    if (status.code() != util::StatusCode::kNotSupported) {
-      HM_RETURN_IF_ERROR(status);
-      out->clear();
-      util::Decoder decoder(result);
-      return GetRefList(&decoder, out);
-    }
-    DegradePushdown();
+    HM_RETURN_IF_ERROR(Call(server::OpCode::kClosureMN, body, &result));
+    out->clear();
+    util::Decoder decoder(result);
+    return GetRefList(&decoder, out);
   }
   if (mode_ != RemoteMode::kPerCall) return BatchedClosureMN(start, out);
   return traversal::ClosureMN(this, start, out);
@@ -1328,15 +1206,10 @@ util::Status RemoteStore::TravClosureMNAtt(NodeRef start, int depth,
     PutNode(&body, start);
     util::PutVarint64(&body, static_cast<uint64_t>(depth));
     std::string result;
-    util::Status status =
-        Call(server::OpCode::kClosureMNAtt, body, &result);
-    if (status.code() != util::StatusCode::kNotSupported) {
-      HM_RETURN_IF_ERROR(status);
-      out->clear();
-      util::Decoder decoder(result);
-      return GetRefList(&decoder, out);
-    }
-    DegradePushdown();
+    HM_RETURN_IF_ERROR(Call(server::OpCode::kClosureMNAtt, body, &result));
+    out->clear();
+    util::Decoder decoder(result);
+    return GetRefList(&decoder, out);
   }
   if (mode_ != RemoteMode::kPerCall) {
     return BatchedClosureMNAtt(start, depth, out);
@@ -1351,32 +1224,28 @@ util::Status RemoteStore::TravClosureMNAttLinkSum(
     PutNode(&body, start);
     util::PutVarint64(&body, static_cast<uint64_t>(depth));
     std::string result;
-    util::Status status =
-        Call(server::OpCode::kClosureMNAttLinkSum, body, &result);
-    if (status.code() != util::StatusCode::kNotSupported) {
-      HM_RETURN_IF_ERROR(status);
-      out->clear();
-      util::Decoder decoder(result);
-      uint64_t count = 0;
-      if (!decoder.GetVarint64(&count)) {
+    HM_RETURN_IF_ERROR(
+        Call(server::OpCode::kClosureMNAttLinkSum, body, &result));
+    out->clear();
+    util::Decoder decoder(result);
+    uint64_t count = 0;
+    if (!decoder.GetVarint64(&count)) {
+      return util::Status::Corruption(
+          "remote: short ClosureMNAttLinkSum response");
+    }
+    out->reserve(count);
+    for (uint64_t i = 0; i < count; ++i) {
+      NodeDistance d;
+      uint64_t node = 0;
+      if (!decoder.GetVarint64(&node) ||
+          !decoder.GetVarSigned64(&d.distance)) {
         return util::Status::Corruption(
             "remote: short ClosureMNAttLinkSum response");
       }
-      out->reserve(count);
-      for (uint64_t i = 0; i < count; ++i) {
-        NodeDistance d;
-        uint64_t node = 0;
-        if (!decoder.GetVarint64(&node) ||
-            !decoder.GetVarSigned64(&d.distance)) {
-          return util::Status::Corruption(
-              "remote: short ClosureMNAttLinkSum response");
-        }
-        d.node = node;
-        out->push_back(d);
-      }
-      return util::Status::Ok();
+      d.node = node;
+      out->push_back(d);
     }
-    DegradePushdown();
+    return util::Status::Ok();
   }
   if (mode_ != RemoteMode::kPerCall) {
     return BatchedClosureMNAttLinkSum(start, depth, out);
@@ -1384,7 +1253,7 @@ util::Status RemoteStore::TravClosureMNAttLinkSum(
   return traversal::ClosureMNAttLinkSum(this, start, depth, out);
 }
 
-// --- Batched (level-synchronous) fallbacks ---------------------------
+// --- Batched (level-synchronous) kernels -----------------------------
 
 util::Status RemoteStore::BatchedClosure1N(NodeRef start,
                                            std::vector<NodeRef>* out) {

@@ -17,16 +17,14 @@
 
 namespace hm::backends {
 
-/// How aggressively the client uses the v2 wire features. Exists so
-/// the benchmarks can measure each rung of the latency ladder; normal
+/// How aggressively the client amortizes round trips. Exists so the
+/// benchmarks can measure each rung of the latency ladder; normal
 /// callers keep the default.
 enum class RemoteMode {
-  /// One round-trip per HyperStore call (the v1 client behavior —
-  /// the benchmark baseline).
+  /// One round-trip per HyperStore call (the benchmark baseline).
   kPerCall,
   /// Batch frames, fused multi-ops and request pipelining, but every
-  /// traversal still runs client-side. Also the automatic fallback
-  /// against a v1 server (minus the v2-only opcodes).
+  /// traversal still runs client-side.
   kBatched,
   /// Everything above plus server-side traversal execution (default).
   kPushdown,
@@ -49,7 +47,7 @@ struct RemoteOptions {
   /// Per-call deadline: the longest any one call may block waiting for
   /// the server (covers every recv of the call, and bounds send via
   /// SO_SNDTIMEO). A miss surfaces kDeadlineExceeded and poisons the
-  /// connection. 0 waits forever (the pre-v4 behavior).
+  /// connection. 0 waits forever.
   int64_t deadline_ms = 5000;
   /// Reconnect/retry budget after a transport failure. Read-only (and
   /// otherwise idempotent) opcodes are re-issued after reconnecting;
@@ -78,14 +76,13 @@ util::Result<RemoteOptions> ParseRemoteAddr(const std::string& addr);
 /// exactly the point: it exposes the client/server object-transfer
 /// cost axis the in-process backends cannot measure.
 ///
-/// Against a v2 server the client amortizes round-trips three ways:
+/// Outside kPerCall the client amortizes round-trips three ways:
 /// fused navigation opcodes (ChildrenMulti/GetAttrsMulti), a generic
-/// Batch frame coalescing arbitrary read-only calls, and — as a
-/// TraversalCapable — pushing whole §6.6 closure kernels to the
-/// server. Against a v1 server (detected in the Hello handshake, or
-/// if an op answers NotSupported) it degrades rung by rung down to
-/// pipelined single requests and finally per-call navigation, so
-/// results are identical at every rung.
+/// Batch frame coalescing arbitrary read-only calls, and — in
+/// kPushdown, as a TraversalCapable — pushing whole §6.6 closure
+/// kernels to the server. Results are identical in every mode. Client
+/// and server must speak the same wire version; Connect fails
+/// otherwise.
 ///
 /// Like every HyperStore, a RemoteStore is single-threaded; run one
 /// client (connection) per benchmark thread. Transactions and caching
@@ -94,8 +91,9 @@ util::Result<RemoteOptions> ParseRemoteAddr(const std::string& addr);
 /// chill just happens at the far end of the socket.
 class RemoteStore : public HyperStore, public TraversalCapable {
  public:
-  /// Connects to a running server and performs the Hello handshake
-  /// (protocol-version negotiation).
+  /// Connects to a running server and performs the Hello handshake.
+  /// A server of another wire version is refused with InvalidArgument
+  /// naming both versions.
   static util::Result<std::unique_ptr<RemoteStore>> Connect(
       const RemoteOptions& options);
 
@@ -119,10 +117,6 @@ class RemoteStore : public HyperStore, public TraversalCapable {
   /// ("mem", "oodb", ...).
   const std::string& server_backend() const { return server_backend_; }
 
-  /// Protocol version agreed in the Hello handshake
-  /// (min(client, server)).
-  uint8_t wire_version() const { return negotiated_version_; }
-
   RemoteMode mode() const { return mode_; }
 
   /// The in-process server when this store was created via Loopback()
@@ -138,15 +132,11 @@ class RemoteStore : public HyperStore, public TraversalCapable {
   /// kConflict, never stale refs.
   util::Status ResetServer();
 
-  /// Liveness probe (wire opcode kPing, v4): one empty round trip
-  /// through the full frame/dispatch path without touching the data.
-  /// A pre-v4 server answers NotSupported, surfaced verbatim.
+  /// Liveness probe (wire opcode kPing): one empty round trip through
+  /// the full frame/dispatch path without touching the data.
   util::Status Ping();
 
-  /// Fetches the server's telemetry registry (wire opcode kStats, v3).
-  /// Surfaces the server's NotSupported verbatim when talking to a
-  /// pre-v3 server — callers treat that as "no stats", never an error
-  /// worth failing over.
+  /// Fetches the server's telemetry registry (wire opcode kStats).
   util::Status ServerStats(telemetry::Snapshot* out);
 
   util::Status Begin() override;
@@ -187,8 +177,8 @@ class RemoteStore : public HyperStore, public TraversalCapable {
   util::Result<uint64_t> StorageBytes() override;
 
   // --- Fused navigation (one frame, many nodes) ----------------------
-  /// Children of every node in `nodes`, positionally. Uses the fused
-  /// v2 opcode, degrading to pipelined kChildren, then per-call.
+  /// Children of every node in `nodes`, positionally: fused
+  /// kChildrenMulti frames, or one kChildren call per node in kPerCall.
   util::Status ChildrenMulti(std::span<const NodeRef> nodes,
                              std::vector<std::vector<NodeRef>>* out);
   /// One attribute over many nodes, positionally.
@@ -249,10 +239,9 @@ class RemoteStore : public HyperStore, public TraversalCapable {
   /// epoch now in force. Idempotent the same way.
   util::Status ReplFence(uint64_t fencing_epoch, uint64_t* epoch);
 
-  /// Fleet placement probe (wire opcode kShardInfo, v5): which shard
-  /// this server claims to be and how many the fleet has. A standalone
-  /// server answers (0, 1); a pre-v5 server answers NotSupported,
-  /// surfaced verbatim (the shard:// client rejects such a fleet).
+  /// Fleet placement probe (wire opcode kShardInfo): which shard this
+  /// server claims to be and how many the fleet has. A standalone
+  /// server answers (0, 1).
   util::Status ShardInfo(uint32_t* shard_id, uint32_t* shard_count);
 
   // --- TraversalCapable ----------------------------------------------
@@ -322,9 +311,9 @@ class RemoteStore : public HyperStore, public TraversalCapable {
                         std::string* result);
 
   /// The request pipeline: executes every payload (opcode + body) in
-  /// order and returns each (status, body) pair positionally. Against
-  /// a v2 server the chunk travels as one kBatch frame; against a v1
-  /// server the frames are pipelined — written in one syscall, then
+  /// order and returns each (status, body) pair positionally. Outside
+  /// kPerCall a chunk of several payloads travels as one kBatch frame;
+  /// otherwise the frames are pipelined — written in one syscall, then
   /// the responses drained in order. A transport failure reruns the
   /// whole pipeline (when every payload is retry-safe) or surfaces
   /// kUnavailable.
@@ -335,9 +324,8 @@ class RemoteStore : public HyperStore, public TraversalCapable {
       std::span<const std::string> payloads,
       std::vector<std::pair<util::Status, std::string>>* out);
 
-  /// Handshake after connect: negotiates the wire version, learns the
-  /// server's backend tag, and downgrades v2 features when talking to
-  /// a v1 server.
+  /// Handshake after connect: checks that the server speaks exactly
+  /// kWireVersion and learns its backend tag.
   util::Status Hello();
 
   // Shared bodies for the method families that differ only in opcode.
@@ -347,8 +335,8 @@ class RemoteStore : public HyperStore, public TraversalCapable {
                             std::vector<RefEdge>* out);
   util::Result<std::string> StringCall(server::OpCode op, NodeRef node);
 
-  /// Pipelined single-node ref-list / edge-list fan-outs (the
-  /// CallMany-based fallback rung under the fused opcodes).
+  /// Pipelined single-node ref-list / edge-list fan-outs (PartsMulti,
+  /// RefsToMulti and the batched M-N kernels).
   util::Status RefListCallMany(server::OpCode op,
                                std::span<const NodeRef> nodes,
                                std::vector<std::vector<NodeRef>>* out);
@@ -356,10 +344,10 @@ class RemoteStore : public HyperStore, public TraversalCapable {
                                 std::span<const NodeRef> nodes,
                                 std::vector<std::vector<RefEdge>>* out);
 
-  // Batched (client-side, level-synchronous) traversal fallbacks.
-  // Each produces byte-identical output to its hm::traversal kernel;
-  // they replace O(visited) round-trips with O(depth) when the server
-  // can't run the walk itself.
+  // Batched (client-side, level-synchronous) traversal kernels for
+  // kBatched. Each produces byte-identical output to its hm::traversal
+  // kernel; they replace O(visited) round-trips with O(depth) while the
+  // walk itself stays on the client.
   util::Status BatchedClosure1N(NodeRef start, std::vector<NodeRef>* out);
   util::Result<int64_t> BatchedClosure1NAttSum(NodeRef start,
                                                uint64_t* visited);
@@ -376,22 +364,9 @@ class RemoteStore : public HyperStore, public TraversalCapable {
   /// fixed before the first call, at Connect time).
   telemetry::Counter* RoundTrips();
 
-  // Capability step-downs. Each clears its flag and, on the actual
-  // transition (not on repeat NotSupported answers), bumps the
-  // matching `remote.degrade.*` counter.
-  void DegradeBatch();
-  void DegradeMulti();
-  void DegradePushdown();
-
-  bool UseBatchFrames() const {
-    return server_batch_ && mode_ != RemoteMode::kPerCall;
-  }
-  bool UseMultiOps() const {
-    return server_multi_ && mode_ != RemoteMode::kPerCall;
-  }
-  bool UsePushdown() const {
-    return server_traversal_ && mode_ == RemoteMode::kPushdown;
-  }
+  bool UseBatchFrames() const { return mode_ != RemoteMode::kPerCall; }
+  bool UseMultiOps() const { return mode_ != RemoteMode::kPerCall; }
+  bool UsePushdown() const { return mode_ == RemoteMode::kPushdown; }
 
   // Declared before fd_ so the in-process server (loopback mode) is
   // destroyed after the client socket closes: members destruct in
@@ -410,12 +385,6 @@ class RemoteStore : public HyperStore, public TraversalCapable {
   util::Rng backoff_rng_{0xFA117001};
   std::string server_backend_;
   RemoteMode mode_ = RemoteMode::kPushdown;
-  uint8_t negotiated_version_ = server::kWireVersion;
-  // Server capabilities; start optimistic, cleared by the handshake
-  // (v1 server) or a NotSupported answer (belt and braces).
-  bool server_batch_ = true;
-  bool server_multi_ = true;
-  bool server_traversal_ = true;
   telemetry::Counter* roundtrips_ = nullptr;
 };
 

@@ -110,8 +110,8 @@ bool ReplicatedStore::ProbePeer(size_t i, RemoteStore::ReplPeer* out) {
       conns_[i].reset();
       replayed_[i] = 0;
     }
-    // A typed failure (e.g. NotSupported from a pre-v6 server) also
-    // disqualifies the peer as a routing target.
+    // A typed failure (e.g. NotSupported from a server with no
+    // replication role) also disqualifies the peer as a routing target.
     return false;
   }
   down_[i] = false;

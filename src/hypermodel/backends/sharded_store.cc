@@ -1,6 +1,7 @@
 #include "hypermodel/backends/sharded_store.h"
 
 #include <algorithm>
+#include <functional>
 #include <unordered_set>
 #include <utility>
 
@@ -56,14 +57,7 @@ util::Result<std::unique_ptr<ShardedStore>> ShardedStore::Connect(
                         RemoteStore::Connect(options));
     uint32_t id = 0;
     uint32_t count = 0;
-    util::Status status = client->ShardInfo(&id, &count);
-    if (status.code() == util::StatusCode::kNotSupported) {
-      return util::Status::InvalidArgument(
-          "shard " + std::to_string(k) + " at " + addrs[k] +
-          " speaks a pre-v5 protocol (no kShardInfo); not a cluster "
-          "member");
-    }
-    HM_RETURN_IF_ERROR(status);
+    HM_RETURN_IF_ERROR(client->ShardInfo(&id, &count));
     if (id != k || count != addrs.size()) {
       return util::Status::InvalidArgument(
           "mis-wired fleet: " + addrs[k] + " claims shard " +
@@ -388,107 +382,42 @@ util::Result<uint64_t> ShardedStore::StorageBytes() {
 
 // --- Fan-out primitives ----------------------------------------------
 
+template <typename T, typename ShardCall>
+util::Status ShardedStore::Fan(std::span<const NodeRef> nodes,
+                               std::vector<T>* out, ShardCall call) {
+  out->assign(nodes.size(), T{});
+  std::vector<std::vector<NodeRef>> per(shards_.size());
+  std::vector<std::vector<size_t>> at(shards_.size());
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    size_t k = 0;
+    HM_RETURN_IF_ERROR(OwnerOf(nodes[i], &k));
+    per[k].push_back(nodes[i]);
+    at[k].push_back(i);
+  }
+  size_t touched = 0;
+  for (size_t k = 0; k < shards_.size(); ++k) {
+    if (per[k].empty()) continue;
+    ++touched;
+    std::vector<T> shard_out;
+    HM_RETURN_IF_ERROR(std::invoke(call, At(k),
+                                   std::span<const NodeRef>(per[k]),
+                                   &shard_out));
+    for (size_t j = 0; j < at[k].size(); ++j) {
+      (*out)[at[k][j]] = std::move(shard_out[j]);
+    }
+  }
+  fanout_->Record(touched);
+  return util::Status::Ok();
+}
+
 util::Status ShardedStore::FanAttrs(std::span<const NodeRef> nodes,
                                     Attr attr,
                                     std::vector<int64_t>* values) {
-  values->assign(nodes.size(), 0);
-  std::vector<std::vector<NodeRef>> per(shards_.size());
-  std::vector<std::vector<size_t>> at(shards_.size());
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    size_t k = 0;
-    HM_RETURN_IF_ERROR(OwnerOf(nodes[i], &k));
-    per[k].push_back(nodes[i]);
-    at[k].push_back(i);
-  }
-  size_t touched = 0;
-  for (size_t k = 0; k < shards_.size(); ++k) {
-    if (per[k].empty()) continue;
-    ++touched;
-    std::vector<int64_t> shard_values;
-    HM_RETURN_IF_ERROR(At(k)->GetAttrsMulti(per[k], attr, &shard_values));
-    for (size_t j = 0; j < at[k].size(); ++j) {
-      (*values)[at[k][j]] = shard_values[j];
-    }
-  }
-  fanout_->Record(touched);
-  return util::Status::Ok();
-}
-
-util::Status ShardedStore::FanChildren(
-    std::span<const NodeRef> nodes,
-    std::vector<std::vector<NodeRef>>* out) {
-  out->assign(nodes.size(), {});
-  std::vector<std::vector<NodeRef>> per(shards_.size());
-  std::vector<std::vector<size_t>> at(shards_.size());
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    size_t k = 0;
-    HM_RETURN_IF_ERROR(OwnerOf(nodes[i], &k));
-    per[k].push_back(nodes[i]);
-    at[k].push_back(i);
-  }
-  size_t touched = 0;
-  for (size_t k = 0; k < shards_.size(); ++k) {
-    if (per[k].empty()) continue;
-    ++touched;
-    std::vector<std::vector<NodeRef>> lists;
-    HM_RETURN_IF_ERROR(At(k)->ChildrenMulti(per[k], &lists));
-    for (size_t j = 0; j < at[k].size(); ++j) {
-      (*out)[at[k][j]] = std::move(lists[j]);
-    }
-  }
-  fanout_->Record(touched);
-  return util::Status::Ok();
-}
-
-util::Status ShardedStore::FanParts(std::span<const NodeRef> nodes,
-                                    std::vector<std::vector<NodeRef>>* out) {
-  out->assign(nodes.size(), {});
-  std::vector<std::vector<NodeRef>> per(shards_.size());
-  std::vector<std::vector<size_t>> at(shards_.size());
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    size_t k = 0;
-    HM_RETURN_IF_ERROR(OwnerOf(nodes[i], &k));
-    per[k].push_back(nodes[i]);
-    at[k].push_back(i);
-  }
-  size_t touched = 0;
-  for (size_t k = 0; k < shards_.size(); ++k) {
-    if (per[k].empty()) continue;
-    ++touched;
-    std::vector<std::vector<NodeRef>> lists;
-    HM_RETURN_IF_ERROR(At(k)->PartsMulti(per[k], &lists));
-    for (size_t j = 0; j < at[k].size(); ++j) {
-      (*out)[at[k][j]] = std::move(lists[j]);
-    }
-  }
-  fanout_->Record(touched);
-  return util::Status::Ok();
-}
-
-util::Status ShardedStore::FanRefsTo(
-    std::span<const NodeRef> nodes,
-    std::vector<std::vector<RefEdge>>* out) {
-  out->assign(nodes.size(), {});
-  std::vector<std::vector<NodeRef>> per(shards_.size());
-  std::vector<std::vector<size_t>> at(shards_.size());
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    size_t k = 0;
-    HM_RETURN_IF_ERROR(OwnerOf(nodes[i], &k));
-    per[k].push_back(nodes[i]);
-    at[k].push_back(i);
-  }
-  size_t touched = 0;
-  for (size_t k = 0; k < shards_.size(); ++k) {
-    if (per[k].empty()) continue;
-    ++touched;
-    std::vector<std::vector<RefEdge>> lists;
-    HM_RETURN_IF_ERROR(At(k)->RefsToMulti(per[k], &lists));
-    for (size_t j = 0; j < at[k].size(); ++j) {
-      (*out)[at[k][j]] = std::move(lists[j]);
-    }
-  }
-  fanout_->Record(touched);
-  return util::Status::Ok();
+  return Fan(nodes, values,
+             [attr](RemoteStore* shard, std::span<const NodeRef> part,
+                    std::vector<int64_t>* part_values) {
+               return shard->GetAttrsMulti(part, attr, part_values);
+             });
 }
 
 util::Status ShardedStore::FanSetAttrs(std::span<const NodeRef> nodes,
@@ -628,7 +557,7 @@ util::Status ShardedStore::DistClosure1N(NodeRef start,
   std::vector<NodeRef> frontier{start};
   while (!frontier.empty()) {
     std::vector<std::vector<NodeRef>> lists;
-    HM_RETURN_IF_ERROR(FanChildren(frontier, &lists));
+    HM_RETURN_IF_ERROR(Fan(frontier, &lists, &RemoteStore::ChildrenMulti));
     std::vector<NodeRef> next;
     for (size_t i = 0; i < frontier.size(); ++i) {
       next.insert(next.end(), lists[i].begin(), lists[i].end());
@@ -671,7 +600,7 @@ util::Status ShardedStore::DistClosure1NPred(NodeRef start, int64_t lo,
     }
     if (survivors.empty()) break;
     std::vector<std::vector<NodeRef>> lists;
-    HM_RETURN_IF_ERROR(FanChildren(survivors, &lists));
+    HM_RETURN_IF_ERROR(Fan(survivors, &lists, &RemoteStore::ChildrenMulti));
     std::vector<NodeRef> next;
     for (size_t i = 0; i < survivors.size(); ++i) {
       next.insert(next.end(), lists[i].begin(), lists[i].end());
@@ -702,7 +631,7 @@ util::Status ShardedStore::DistClosureMN(NodeRef start,
   std::unordered_set<NodeRef> fetched{start};
   while (!frontier.empty()) {
     std::vector<std::vector<NodeRef>> lists;
-    HM_RETURN_IF_ERROR(FanParts(frontier, &lists));
+    HM_RETURN_IF_ERROR(Fan(frontier, &lists, &RemoteStore::PartsMulti));
     std::vector<NodeRef> next;
     for (size_t i = 0; i < frontier.size(); ++i) {
       for (NodeRef part : lists[i]) {
@@ -736,7 +665,7 @@ util::Status ShardedStore::DistClosureMNAtt(NodeRef start, int depth,
   std::vector<NodeRef> frontier{start};
   for (int level = 0; level < depth && !frontier.empty(); ++level) {
     std::vector<std::vector<RefEdge>> edge_lists;
-    HM_RETURN_IF_ERROR(FanRefsTo(frontier, &edge_lists));
+    HM_RETURN_IF_ERROR(Fan(frontier, &edge_lists, &RemoteStore::RefsToMulti));
     std::vector<NodeRef> next;
     for (const std::vector<RefEdge>& edges : edge_lists) {
       for (const RefEdge& edge : edges) {
@@ -762,7 +691,8 @@ util::Status ShardedStore::DistClosureMNAttLinkSum(
     frontier_nodes.reserve(frontier.size());
     for (const NodeDistance& f : frontier) frontier_nodes.push_back(f.node);
     std::vector<std::vector<RefEdge>> edge_lists;
-    HM_RETURN_IF_ERROR(FanRefsTo(frontier_nodes, &edge_lists));
+    HM_RETURN_IF_ERROR(
+        Fan(frontier_nodes, &edge_lists, &RemoteStore::RefsToMulti));
     std::vector<NodeDistance> next;
     for (size_t i = 0; i < frontier.size(); ++i) {
       for (const RefEdge& edge : edge_lists[i]) {

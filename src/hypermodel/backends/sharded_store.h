@@ -145,14 +145,14 @@ class ShardedStore : public HyperStore, public TraversalCapable {
   // Fan-out primitives: partition `nodes` by owner, issue one fused
   // call per touched shard, scatter the answers back positionally.
   // Each records the number of shards touched in `cluster.fanout`.
+  /// The one partition/scatter loop: `call(shard, shard_nodes,
+  /// &shard_out)` is a RemoteStore *Multi (a member pointer such as
+  /// &RemoteStore::ChildrenMulti, or a lambda binding extra arguments).
+  template <typename T, typename ShardCall>
+  util::Status Fan(std::span<const NodeRef> nodes, std::vector<T>* out,
+                   ShardCall call);
   util::Status FanAttrs(std::span<const NodeRef> nodes, Attr attr,
                         std::vector<int64_t>* values);
-  util::Status FanChildren(std::span<const NodeRef> nodes,
-                           std::vector<std::vector<NodeRef>>* out);
-  util::Status FanParts(std::span<const NodeRef> nodes,
-                        std::vector<std::vector<NodeRef>>* out);
-  util::Status FanRefsTo(std::span<const NodeRef> nodes,
-                         std::vector<std::vector<RefEdge>>* out);
   util::Status FanSetAttrs(std::span<const NodeRef> nodes, Attr attr,
                            std::span<const int64_t> values);
   /// One shard-merged index scan (shared by RangeHundred/Million).
@@ -161,7 +161,7 @@ class ShardedStore : public HyperStore, public TraversalCapable {
 
   // Distributed scatter-gather closure kernels (the >1-shard fallback
   // when pushdown reports kOutOfRange). Level-synchronous: each hop
-  // fetches the frontier's lists via the Fan* primitives, then the
+  // fetches the frontier's lists via the fan-out primitives, then the
   // exact traversal order is replayed locally — the same access set
   // and output as the single-store kernels in hypermodel/traversal.h.
   util::Status DistClosure1N(NodeRef start, std::vector<NodeRef>* out);

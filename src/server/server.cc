@@ -430,25 +430,26 @@ void Server::DispatchOneImpl(Session* session, std::string_view request,
 
   switch (op) {
     case OpCode::kHello: {
-      uint64_t client_version = 1;  // v1 clients send an empty Hello body
-      if (!body.Empty()) {
-        if (!body.GetVarint64(&client_version) || client_version == 0) {
-          bad_request();
-          return;
-        }
-      }
-      if (client_version < kMinWireVersion) {
-        reply_status(util::Status::InvalidArgument(
-            "client wire version " + std::to_string(client_version) +
-            " is below the minimum " + std::to_string(kMinWireVersion)));
+      // Exact match only: clients and servers are built from the same
+      // source, so a different version is a mis-deployment, not a peer
+      // to serve at a lower level. An empty body is the v1 spelling.
+      uint64_t client_version = 1;
+      if (!body.Empty() &&
+          (!body.GetVarint64(&client_version) || !body.Empty())) {
+        bad_request();
         return;
       }
-      const auto negotiated = static_cast<uint8_t>(std::min<uint64_t>(
-          {client_version, kWireVersion, options_.max_wire_version}));
+      if (client_version != kWireVersion) {
+        reply_status(util::Status::InvalidArgument(
+            "wire version mismatch: client " +
+            std::to_string(client_version) + ", server " +
+            std::to_string(kWireVersion)));
+        return;
+      }
       session->epoch = reset_epoch_;  // re-handshake adopts the current DB
       std::string name = backend_->name();
       reply(util::Status::Ok(), [&] {
-        response->push_back(static_cast<char>(negotiated));
+        response->push_back(static_cast<char>(kWireVersion));
         util::PutLengthPrefixed(response, name);
       });
       return;
@@ -874,13 +875,6 @@ void Server::DispatchOneImpl(Session* session, std::string_view request,
       return;
     }
     case OpCode::kStats: {
-      if (options_.max_wire_version < 3) {
-        // A capped "v2" server behaves exactly like a build that
-        // predates the opcode.
-        reply_status(util::Status::NotSupported(
-            "unknown opcode " + std::to_string(request[0])));
-        return;
-      }
       if (!body.Empty()) {
         bad_request();
         return;
@@ -892,11 +886,6 @@ void Server::DispatchOneImpl(Session* session, std::string_view request,
     }
 
     case OpCode::kPing: {
-      if (options_.max_wire_version < 4) {
-        reply_status(util::Status::NotSupported(
-            "unknown opcode " + std::to_string(request[0])));
-        return;
-      }
       if (!body.Empty()) {
         bad_request();
         return;
@@ -908,11 +897,6 @@ void Server::DispatchOneImpl(Session* session, std::string_view request,
     }
 
     case OpCode::kShardInfo: {
-      if (options_.max_wire_version < 5) {
-        reply_status(util::Status::NotSupported(
-            "unknown opcode " + std::to_string(request[0])));
-        return;
-      }
       if (!body.Empty()) {
         bad_request();
         return;
@@ -929,11 +913,6 @@ void Server::DispatchOneImpl(Session* session, std::string_view request,
     case OpCode::kReplStatus:
     case OpCode::kReplPromote:
     case OpCode::kReplFence: {
-      if (options_.max_wire_version < 6) {
-        reply_status(util::Status::NotSupported(
-            "unknown opcode " + std::to_string(request[0])));
-        return;
-      }
       ReplicationHandler* repl = options_.replication;
       if (repl == nullptr) {
         reply_status(util::Status::NotSupported(

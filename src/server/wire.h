@@ -34,44 +34,19 @@ namespace hm::server {
 /// zig-zag varints, strings and serialized bitmaps length-prefixed.
 
 /// Bumped whenever the frame or body encodings change incompatibly or
-/// new opcodes are added. Negotiated in kHello: the client sends its
-/// version as the (optional) request body, the server replies with
-/// min(client, server). v1 clients send an empty Hello body and v1
-/// servers ignore the body entirely, so both directions interoperate.
+/// new opcodes are added. Checked at kHello: the client sends its
+/// version as the request body and the server accepts only an exact
+/// match, answering with its own version; any other body (including
+/// the empty one) is refused with InvalidArgument naming both
+/// versions. Every client and server is built from one tree, so there
+/// is no negotiation window.
 ///
-/// v2 adds the Batch frame, fused navigation ops and the server-side
-/// traversal (closure pushdown) opcodes.
-///
-/// v3 adds kStats (telemetry snapshot). Append-only as always: a v2
-/// server answers the unknown opcode with NotSupported, which v3
-/// clients treat as "no stats", so the handshake never has to fail.
-///
-/// v4 adds kPing (the fault-tolerant client's liveness/reconnect
-/// probe) and carries the new kUnavailable / kDeadlineExceeded /
-/// kOverloaded status codes; older peers that cannot name those codes
-/// fold them into kInternal, degrading safely.
-///
-/// v5 adds kShardInfo for the cluster subsystem: a server started as
-/// shard k of N reports its placement so a `shard://` client can
-/// verify it dialed the fleet it thinks it dialed. NodeRefs stay
-/// varint64 but are now *shard-qualified* end to end: the high byte
-/// carries the owning shard id ((shard << 56) | local_ref, see
-/// cluster/shard_map.h), so cross-shard `parts`/`refTo` edges travel
-/// as (shard, uid)-qualified refs inside the existing encodings. A
-/// single-node server is shard 0 of 1, where the qualified and plain
-/// encodings coincide — which is why v4 frames stay byte-identical.
-///
-/// v6 adds the replication opcodes: kReplSubscribe / kReplSegment /
-/// kReplStatus let a follower pull WAL segments from its primary over
-/// the ordinary request/response frames, and kReplPromote / kReplFence
-/// carry the epoch-fenced failover protocol (DESIGN.md §16). v6 also
-/// carries the new kReadOnly / kFencedOff status codes; older peers
-/// fold them into kInternal, degrading safely.
+/// v2: Batch frame, fused navigation ops, closure pushdown opcodes.
+/// v3: kStats (telemetry snapshot).
+/// v4: kPing; kUnavailable / kDeadlineExceeded / kOverloaded codes.
+/// v5: kShardInfo; shard-qualified NodeRefs (cluster/shard_map.h).
+/// v6: kRepl* opcodes (DESIGN.md §16); kReadOnly / kFencedOff codes.
 inline constexpr uint8_t kWireVersion = 6;
-
-/// Oldest peer version this build still speaks. A negotiated version
-/// below this fails the handshake.
-inline constexpr uint8_t kMinWireVersion = 1;
 
 /// Bytes before the payload: fixed32 length + fixed32 masked CRC.
 inline constexpr size_t kFrameHeaderBytes = 8;
@@ -143,8 +118,7 @@ enum class OpCode : uint8_t {
 
   // ---- v5: cluster ----
   // Empty body -> varint shard id + varint shard count. A server that
-  // is not part of a fleet answers (0, 1); a pre-v5 server answers
-  // NotSupported, which the sharded client rejects at connect time.
+  // is not part of a fleet answers (0, 1).
   kShardInfo = 42,
 
   // ---- v6: replication ----
@@ -217,7 +191,8 @@ FrameResult DecodeFrame(std::string_view buf, std::string_view* payload,
                         uint32_t max_payload = kDefaultMaxFrameBytes);
 
 /// Rebuilds a Status from its wire code; unknown codes map to
-/// kInternal so a newer server can't crash an older client.
+/// kInternal, since the byte comes from outside the process and must
+/// never become an out-of-range enum value.
 util::Status StatusFromCode(util::StatusCode code, std::string msg);
 
 /// Appends the response header for `status`: the code byte, plus the

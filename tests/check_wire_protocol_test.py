@@ -25,7 +25,6 @@ GOOD_WIRE_H = """\
 #include <cstdint>
 
 inline constexpr uint8_t kWireVersion = 2;
-inline constexpr uint8_t kMinWireVersion = 1;
 
 enum class OpCode : uint8_t {
   kPing = 1,
@@ -68,7 +67,6 @@ V6_WIRE_H = """\
 #include <cstdint>
 
 inline constexpr uint8_t kWireVersion = 6;
-inline constexpr uint8_t kMinWireVersion = 1;
 
 enum class OpCode : uint8_t {
   kPing = 1,
@@ -205,29 +203,6 @@ class CheckWireProtocolTest(unittest.TestCase):
         )
         result = run_checker(wire_h, wire_cc)
         self.assert_rejects(result, "out of order")
-
-    # ---- rule 2b: negotiation window ----
-
-    def test_missing_min_wire_version_rejected(self):
-        wire_h = GOOD_WIRE_H.replace(
-            "inline constexpr uint8_t kMinWireVersion = 1;\n", ""
-        )
-        result = run_checker(wire_h, GOOD_WIRE_CC)
-        self.assert_rejects(result, "kMinWireVersion")
-
-    def test_min_wire_version_of_zero_rejected(self):
-        wire_h = GOOD_WIRE_H.replace(
-            "kMinWireVersion = 1", "kMinWireVersion = 0"
-        )
-        result = run_checker(wire_h, GOOD_WIRE_CC)
-        self.assert_rejects(result, "outside")
-
-    def test_min_wire_version_above_wire_version_rejected(self):
-        wire_h = GOOD_WIRE_H.replace(
-            "kMinWireVersion = 1", "kMinWireVersion = 3"
-        )
-        result = run_checker(wire_h, GOOD_WIRE_CC)
-        self.assert_rejects(result, "outside")
 
     # ---- rule 3: OpCodeName coverage ----
 

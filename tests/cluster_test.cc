@@ -319,21 +319,6 @@ TEST(ShardedStoreTest, ConnectRejectsMiswiredFleet) {
   s1->Stop();
 }
 
-TEST(ShardedStoreTest, ConnectRejectsPreV5Server) {
-  server::ServerOptions options;
-  options.host = "127.0.0.1";
-  options.port = 0;
-  options.max_wire_version = 4;  // pre-cluster protocol
-  auto srv =
-      server::Server::Start(options, std::make_unique<backends::MemStore>());
-  ASSERT_TRUE(srv.ok()) << srv.status().ToString();
-  std::string addr =
-      (*srv)->host() + ":" + std::to_string((*srv)->port());
-  auto store = backends::ShardedStore::Connect(addr);
-  EXPECT_FALSE(store.ok());
-  (*srv)->Stop();
-}
-
 TEST(ShardedStoreTest, FleetMatchesSingleNodeByteForByte) {
   // The §5.2 database at level 3, built identically (same Generator
   // seed) on a single-node remote server and a 4-shard fleet: the

@@ -241,23 +241,37 @@ TEST(ServerTest, ResetByAnotherSessionYieldsCleanConflict) {
   EXPECT_TRUE(late->LookupUnique(1).status().IsNotFound());
 }
 
-TEST(ServerTest, OldClientHelloInteroperates) {
-  // A v1 client sends Hello with an empty body; the v2 server must
-  // negotiate down to version 1 and keep serving v1 opcodes.
+std::string VersionBody(uint64_t version) {
+  std::string body;
+  util::PutVarint64(&body, version);
+  return body;
+}
+
+std::string HelloPayload(std::string_view body) {
+  std::string payload(1, static_cast<char>(server::OpCode::kHello));
+  payload.append(body);
+  return payload;
+}
+
+TEST(ServerTest, MismatchedHelloIsRefused) {
+  // Peers must speak exactly kWireVersion. An empty Hello body (the v1
+  // spelling), an older and a newer version are each refused with
+  // InvalidArgument naming both versions.
   auto srv = StartMemServer();
   ASSERT_NE(srv, nullptr);
 
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(srv->port());
-  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr),
-                      sizeof(addr)),
-            0);
-
-  auto roundtrip = [&](std::string_view payload) {
+  auto raw_connect = [&] {
+    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    EXPECT_GE(fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(srv->port());
+    EXPECT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+    EXPECT_EQ(
+        ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+    return fd;
+  };
+  auto roundtrip = [](int fd, std::string_view payload) {
     std::string frame;
     server::AppendFrame(&frame, payload);
     EXPECT_TRUE(server::WriteAll(fd, frame));
@@ -277,16 +291,100 @@ TEST(ServerTest, OldClientHelloInteroperates) {
     }
   };
 
-  std::string hello = roundtrip(std::string(1, '\x01'));  // kHello, no body
+  const std::string server_version =
+      "server " + std::to_string(server::kWireVersion);
+  const std::vector<std::pair<std::string, uint64_t>> mismatches = {
+      {"", 1},
+      {VersionBody(server::kWireVersion - 1), server::kWireVersion - 1},
+      {VersionBody(server::kWireVersion + 1), server::kWireVersion + 1},
+  };
+  for (const auto& [body, client_version] : mismatches) {
+    int fd = raw_connect();
+    std::string response = roundtrip(fd, HelloPayload(body));
+    ::close(fd);
+    util::Status status;
+    std::string_view result;
+    ASSERT_TRUE(server::SplitResponse(response, &status, &result));
+    EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument)
+        << status.ToString();
+    EXPECT_NE(status.message().find("client " +
+                                    std::to_string(client_version)),
+              std::string::npos)
+        << status.ToString();
+    EXPECT_NE(status.message().find(server_version), std::string::npos)
+        << status.ToString();
+  }
+
+  // The exact version on a fresh connection is accepted.
+  int fd = raw_connect();
+  std::string hello =
+      roundtrip(fd, HelloPayload(VersionBody(server::kWireVersion)));
+  ::close(fd);
   ASSERT_GE(hello.size(), 2u);
   EXPECT_EQ(hello[0], 0);  // StatusCode::kOk
-  EXPECT_EQ(hello[1], 1);  // negotiated down to wire version 1
-  // v1 opcodes still work on the same connection.
-  std::string storage =
-      roundtrip(std::string(1, static_cast<char>(29)));  // kStorageBytes
-  ASSERT_GE(storage.size(), 1u);
-  EXPECT_EQ(storage[0], 0);
-  ::close(fd);
+  EXPECT_EQ(hello[1], static_cast<char>(server::kWireVersion));
+}
+
+TEST(ServerTest, ClientRefusesServerOfAnotherVersion) {
+  // A one-shot raw listener answers Hello as a server one version
+  // behind would; Connect must fail with the typed mismatch error.
+  int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = 0;
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr),
+                   sizeof(addr)),
+            0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&addr),
+                          &len),
+            0);
+
+  const uint8_t old_version = server::kWireVersion - 1;
+  std::thread responder([&] {
+    int fd = ::accept(listener, nullptr, nullptr);
+    if (fd < 0) return;
+    std::string rx;
+    char buf[256];
+    std::string_view request;
+    size_t frame_len = 0;
+    while (server::DecodeFrame(rx, &request, &frame_len) ==
+           server::FrameResult::kIncomplete) {
+      ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+      if (n <= 0) break;
+      rx.append(buf, static_cast<size_t>(n));
+    }
+    std::string reply;
+    server::PutStatus(&reply, util::Status::Ok());
+    reply.push_back(static_cast<char>(old_version));
+    util::PutLengthPrefixed(&reply, "mem");
+    std::string frame;
+    server::AppendFrame(&frame, reply);
+    server::WriteAll(fd, frame);
+    ::close(fd);
+  });
+
+  backends::RemoteOptions options;
+  options.host = "127.0.0.1";
+  options.port = ntohs(addr.sin_port);
+  options.max_retries = 0;
+  auto store = RemoteStore::Connect(options);
+  responder.join();
+  ::close(listener);
+
+  ASSERT_FALSE(store.ok());
+  EXPECT_EQ(store.status().code(), util::StatusCode::kInvalidArgument)
+      << store.status().ToString();
+  const std::string& message = store.status().message();
+  EXPECT_NE(message.find("client " + std::to_string(server::kWireVersion)),
+            std::string::npos)
+      << message;
+  EXPECT_NE(message.find("server " + std::to_string(old_version)),
+            std::string::npos)
+      << message;
 }
 
 TEST(ServerTest, ConcurrentReadersRunUnderSharedLock) {
@@ -511,7 +609,6 @@ TEST(ServerTest, StatsOpcodeCountsScriptedSequence) {
   ASSERT_NE(srv, nullptr);
   auto client = ConnectTo(*srv);
   ASSERT_NE(client, nullptr);
-  EXPECT_EQ(client->wire_version(), server::kWireVersion);
 
   // The registry is process-global and other tests in this binary have
   // already bumped it, so every assertion is over a snapshot *diff*
@@ -554,30 +651,6 @@ TEST(ServerTest, StatsOpcodeCountsScriptedSequence) {
   EXPECT_EQ(diff.histograms.at("server.op.get_attr.latency_us").count, 6u);
   EXPECT_GT(diff.counter("server.net.bytes_in"), 0u);
   EXPECT_GT(diff.counter("server.net.bytes_out"), 0u);
-}
-
-TEST(ServerTest, StatsFallsBackPolitelyOnV2Server) {
-  // Cap the server at wire v2: it predates kStats and answers the
-  // unknown opcode with NotSupported, exactly like a real old binary.
-  server::ServerOptions options;
-  options.max_wire_version = 2;
-  auto srv = StartMemServer(options);
-  ASSERT_NE(srv, nullptr);
-  auto client = ConnectTo(*srv);
-  ASSERT_NE(client, nullptr);
-  EXPECT_EQ(client->wire_version(), 2);
-
-  telemetry::Snapshot snap;
-  util::Status status = client->ServerStats(&snap);
-  EXPECT_EQ(status.code(), util::StatusCode::kNotSupported)
-      << status.ToString();
-
-  // The rest of the protocol is unaffected by the failed probe.
-  ASSERT_TRUE(client->Begin().ok());
-  auto node = client->CreateNode(MakeAttrs(7), kInvalidNode);
-  ASSERT_TRUE(node.ok()) << node.status().ToString();
-  ASSERT_TRUE(client->Commit().ok());
-  EXPECT_EQ(*client->LookupUnique(7), *node);
 }
 
 // ---- Fault tolerance: deadlines, retries, shedding, draining ---------
@@ -730,23 +803,12 @@ TEST_F(FaultToleranceTest, WriteOpSurfacesUnavailableThenReconnects) {
   EXPECT_TRUE(client->Commit().ok());
 }
 
-TEST_F(FaultToleranceTest, PingRoundTripsAndOldServerDeclines) {
+TEST_F(FaultToleranceTest, PingRoundTrips) {
   auto srv = StartMemServer();
   ASSERT_NE(srv, nullptr);
   auto client = ConnectTo(*srv);
   ASSERT_NE(client, nullptr);
   EXPECT_TRUE(client->Ping().ok());
-
-  server::ServerOptions capped;
-  capped.max_wire_version = 3;
-  auto old_srv = StartMemServer(capped);
-  ASSERT_NE(old_srv, nullptr);
-  auto old_client = ConnectTo(*old_srv);
-  ASSERT_NE(old_client, nullptr);
-  EXPECT_EQ(old_client->wire_version(), 3);
-  util::Status status = old_client->Ping();
-  EXPECT_EQ(status.code(), util::StatusCode::kNotSupported)
-      << status.ToString();
 }
 
 TEST_F(FaultToleranceTest, InflightCeilingShedsExcessRequests) {

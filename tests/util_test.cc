@@ -496,8 +496,12 @@ TEST_P(BitmapRectTest, InvertExactlyTheRect) {
   // Spot-check corners inside and outside.
   EXPECT_TRUE(bm.Get(x, y));
   EXPECT_TRUE(bm.Get(x + rw - 1, y + rh - 1));
-  if (x > 0) EXPECT_FALSE(bm.Get(x - 1, y));
-  if (y > 0) EXPECT_FALSE(bm.Get(x, y - 1));
+  if (x > 0) {
+    EXPECT_FALSE(bm.Get(x - 1, y));
+  }
+  if (y > 0) {
+    EXPECT_FALSE(bm.Get(x, y - 1));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BitmapRectTest,
@@ -630,7 +634,7 @@ TEST(CheckDeathTest, PlainCheckPrintsExpression) {
 TEST(TimerTest, MeasuresElapsed) {
   Timer timer;
   volatile double x = 0;
-  for (int i = 0; i < 100000; ++i) x += i;
+  for (int i = 0; i < 100000; ++i) x = x + i;
   EXPECT_GT(timer.ElapsedMicros(), 0.0);
   double first = timer.ElapsedMillis();
   double second = timer.ElapsedMillis();

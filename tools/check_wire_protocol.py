@@ -6,17 +6,14 @@ evolves under three rules this check enforces mechanically:
 
   1. Append-only numbering: opcode values are unique, strictly
      ascending and contiguous starting at 1 — renumbering or reusing a
-     value breaks every deployed peer.
+     value silently changes what an existing opcode means.
   2. Version gating: every protocol revision beyond v1 introduces its
      opcodes under a `---- vN:` comment inside the enum, the markers
      appear in ascending order, and kWireVersion equals the highest
      marker — adding opcodes without bumping the version (or bumping
-     without documenting what changed) both fail. (v5 is the cluster
-     revision: kShardInfo lives under the `---- v5:` gate, and the
-     shard:// client refuses fleets whose servers predate it.)
-  2b. Compatibility floor: kMinWireVersion exists and satisfies
-     1 <= kMinWireVersion <= kWireVersion — a protocol bump must not
-     silently strand the handshake's negotiation window.
+     without documenting what changed) both fail. Peers must match
+     kWireVersion exactly at Hello, so a missed bump would let two
+     incompatible builds talk.
   3. Telemetry surface: every opcode has a `case OpCode::kFoo: return
      "snake_name";` entry in OpCodeName() with a unique
      lower_snake_case name — these spell the per-opcode metric names,
@@ -89,16 +86,6 @@ def parse_wire_version(header_text):
     )
     if not match:
         fail(["wire.h: cannot find kWireVersion"])
-    return int(match.group(1))
-
-
-def parse_min_wire_version(header_text):
-    match = re.search(
-        r"inline\s+constexpr\s+uint8_t\s+kMinWireVersion\s*=\s*(\d+)\s*;",
-        header_text,
-    )
-    if not match:
-        fail(["wire.h: cannot find kMinWireVersion"])
     return int(match.group(1))
 
 
@@ -243,17 +230,8 @@ def main():
 
     opcodes, markers = parse_enum(header_text)
     wire_version = parse_wire_version(header_text)
-    min_wire_version = parse_min_wire_version(header_text)
     names = parse_opcode_names(source_text)
     errors = []
-
-    # Rule 2b: the negotiation window [kMinWireVersion, kWireVersion]
-    # must be well-formed.
-    if not 1 <= min_wire_version <= wire_version:
-        errors.append(
-            f"wire.h: kMinWireVersion = {min_wire_version} outside "
-            f"[1, kWireVersion = {wire_version}]"
-        )
 
     if not opcodes:
         fail(["wire.h: OpCode enum has no entries"])
