@@ -12,7 +12,8 @@
 //    remote loopback server, once on a max(--shards)-way fleet — run
 //    all twenty operations with identical deterministically-chosen
 //    inputs on both, and require uid-translated outputs to be
-//    byte-identical (exact order for ordered results). Exits non-zero
+//    byte-identical (exact order for ordered results; index scans in
+//    the fleet's documented (value, uniqueId) order). Exits non-zero
 //    on any mismatch; this is the cluster acceptance gate.
 //
 // Both sides of the verify run share one Generator seed, so position i
@@ -82,6 +83,7 @@ struct VerifyState {
   hm::HyperStore* fleet = nullptr;
   const hm::TestDatabase* db_single = nullptr;
   const hm::TestDatabase* db_fleet = nullptr;
+  size_t fleet_shards = 1;
   int failures = 0;
 };
 
@@ -120,8 +122,8 @@ void CheckLists(VerifyState* state, const std::string& op,
   Report(state, op, a == b, DiffDetail(a, b));
 }
 
-// Set-valued results (parts, refs, index scans): the paper's M-N
-// relationships are sets, so compare sorted.
+// Set-valued results (parts, refs): the paper's M-N relationships are
+// sets, so compare sorted.
 void CheckSets(VerifyState* state, const std::string& op,
                const std::vector<hm::NodeRef>& single_refs,
                const std::vector<hm::NodeRef>& fleet_refs) {
@@ -129,6 +131,31 @@ void CheckSets(VerifyState* state, const std::string& op,
   std::vector<int64_t> b = Uids(state->fleet, fleet_refs);
   std::sort(a.begin(), a.end());
   std::sort(b.begin(), b.end());
+  Report(state, op, a == b, DiffDetail(a, b));
+}
+
+// Index scans (/*03*/, /*04*/) on `attr`: a fleet of several shards
+// answers in canonical (value, uniqueId) order (DESIGN.md §14), a
+// single node (and a one-shard fleet) in its backend's own order. The
+// fleet's list is compared in order against the single node's, re-sorted
+// canonically when the fleet is sharded.
+void CheckScan(VerifyState* state, const std::string& op, hm::Attr attr,
+               const std::vector<hm::NodeRef>& single_refs,
+               const std::vector<hm::NodeRef>& fleet_refs) {
+  std::vector<hm::KeyedRef> keyed;
+  keyed.reserve(single_refs.size());
+  for (hm::NodeRef ref : single_refs) {
+    auto value = state->single->GetAttr(ref, attr);
+    CheckOk(value.status());
+    keyed.push_back({ref, *value, Uid(state->single, ref)});
+  }
+  if (state->fleet_shards > 1) {
+    std::sort(keyed.begin(), keyed.end(), hm::KeyedRefLess);
+  }
+  std::vector<int64_t> a;
+  a.reserve(keyed.size());
+  for (const hm::KeyedRef& hit : keyed) a.push_back(hit.unique_id);
+  std::vector<int64_t> b = Uids(state->fleet, fleet_refs);
   Report(state, op, a == b, DiffDetail(a, b));
 }
 
@@ -181,12 +208,12 @@ int RunVerify(VerifyState* state, int probes) {
       std::vector<hm::NodeRef> a, b;
       CheckOk(hm::ops::RangeLookupHundred(state->single, hundred_x, &a));
       CheckOk(hm::ops::RangeLookupHundred(state->fleet, hundred_x, &b));
-      CheckSets(state, "03 rangeLookupHundred", a, b);
+      CheckScan(state, "03 rangeLookupHundred", hm::Attr::kHundred, a, b);
       a.clear();
       b.clear();
       CheckOk(hm::ops::RangeLookupMillion(state->single, million_x, &a));
       CheckOk(hm::ops::RangeLookupMillion(state->fleet, million_x, &b));
-      CheckSets(state, "04 rangeLookupMillion", a, b);
+      CheckScan(state, "04 rangeLookupMillion", hm::Attr::kMillion, a, b);
     }
     // /*05A*/../*08*/ — group and reference lookups.
     {
@@ -417,6 +444,7 @@ int main(int argc, char** argv) {
     state.fleet = fleet->get();
     state.db_single = &db_single;
     state.db_fleet = &db_fleet;
+    state.fleet_shards = static_cast<size_t>(fleet_size);
     int failures = RunVerify(&state, verify_probes);
     std::cout << "\n"
               << (failures == 0 ? "VERIFY PASS" : "VERIFY FAIL") << " ("

@@ -780,6 +780,34 @@ util::Status RemoteStore::RangeMillion(int64_t lo, int64_t hi,
   return RefListCall(server::OpCode::kRangeMillion, body, out);
 }
 
+util::Status RemoteStore::RangeKeyed(Attr attr, int64_t lo, int64_t hi,
+                                     std::vector<KeyedRef>* out) {
+  std::string body;
+  util::PutVarint64(&body, static_cast<uint64_t>(attr));
+  util::PutVarSigned64(&body, lo);
+  util::PutVarSigned64(&body, hi);
+  std::string result;
+  HM_RETURN_IF_ERROR(Call(server::OpCode::kRangeKeyed, body, &result));
+  util::Decoder decoder(result);
+  // Each hit takes at least three bytes, so a larger count is corrupt
+  // and must not size the reservation.
+  uint64_t count = 0;
+  if (!decoder.GetVarint64(&count) || count > result.size() / 3) {
+    return util::Status::Corruption("remote: short RangeKeyed response");
+  }
+  out->reserve(out->size() + count);
+  for (uint64_t i = 0; i < count; ++i) {
+    KeyedRef hit;
+    if (!decoder.GetVarint64(&hit.node) ||
+        !decoder.GetVarSigned64(&hit.value) ||
+        !decoder.GetVarSigned64(&hit.unique_id)) {
+      return util::Status::Corruption("remote: short RangeKeyed response");
+    }
+    out->push_back(hit);
+  }
+  return util::Status::Ok();
+}
+
 util::Status RemoteStore::Children(NodeRef node,
                                    std::vector<NodeRef>* out) {
   std::string body;

@@ -184,6 +184,12 @@ class RemoteStore : public HyperStore, public TraversalCapable {
   /// One attribute over many nodes, positionally.
   util::Status GetAttrsMulti(std::span<const NodeRef> nodes, Attr attr,
                              std::vector<int64_t>* values);
+  /// Range lookup on `attr` (kHundred or kMillion) with each hit's
+  /// sort keys, in canonical (value, uniqueId) order (KeyedRefLess),
+  /// appended to `out`: one kRangeKeyed round trip in every mode. The
+  /// sharded client merges these per-shard runs.
+  util::Status RangeKeyed(Attr attr, int64_t lo, int64_t hi,
+                          std::vector<KeyedRef>* out);
   /// parts list of every node, positionally (pipelined kParts frames —
   /// there is no fused parts opcode). The sharded client's distributed
   /// M-N closure kernels fan out through this.

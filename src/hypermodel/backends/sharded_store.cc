@@ -284,53 +284,37 @@ util::Result<NodeRef> ShardedStore::LookupUnique(int64_t unique_id) {
                                 std::to_string(unique_id));
 }
 
-util::Status ShardedStore::FanRange(bool hundred, int64_t lo, int64_t hi,
+util::Status ShardedStore::FanRange(Attr attr, int64_t lo, int64_t hi,
                                     std::vector<NodeRef>* out) {
-  // Each shard scans its own index; the client merges in canonical
-  // (value, uniqueId) order. This is the documented cluster scan
-  // order: within one value, single-store backends surface their own
-  // insertion order, which is not reconstructible across shards.
-  struct Hit {
-    NodeRef ref;
-    int64_t value;
-    int64_t uid;
-  };
-  std::vector<Hit> hits;
+  // Each shard answers one kRangeKeyed call with its hits already in
+  // canonical (value, uniqueId) order, so the client only merges the
+  // sorted runs. This is the documented cluster scan order: within one
+  // value, single-store backends surface their own insertion order,
+  // which is not reconstructible across shards.
+  std::vector<KeyedRef> hits;
   for (size_t k = 0; k < shards_.size(); ++k) {
-    std::vector<NodeRef> refs;
-    RemoteStore* client = At(k);
-    HM_RETURN_IF_ERROR(hundred ? client->RangeHundred(lo, hi, &refs)
-                               : client->RangeMillion(lo, hi, &refs));
-    if (refs.empty()) continue;
-    std::vector<int64_t> values;
-    std::vector<int64_t> uids;
-    HM_RETURN_IF_ERROR(client->GetAttrsMulti(
-        refs, hundred ? Attr::kHundred : Attr::kMillion, &values));
-    HM_RETURN_IF_ERROR(client->GetAttrsMulti(refs, Attr::kUniqueId, &uids));
-    for (size_t i = 0; i < refs.size(); ++i) {
-      hits.push_back({refs[i], values[i], uids[i]});
-    }
+    const auto run = static_cast<std::ptrdiff_t>(hits.size());
+    HM_RETURN_IF_ERROR(At(k)->RangeKeyed(attr, lo, hi, &hits));
+    std::inplace_merge(hits.begin(), hits.begin() + run, hits.end(),
+                       KeyedRefLess);
   }
   fanout_->Record(shards_.size());
-  std::sort(hits.begin(), hits.end(), [](const Hit& a, const Hit& b) {
-    return a.value != b.value ? a.value < b.value : a.uid < b.uid;
-  });
   out->clear();
   out->reserve(hits.size());
-  for (const Hit& hit : hits) out->push_back(hit.ref);
+  for (const KeyedRef& hit : hits) out->push_back(hit.node);
   return util::Status::Ok();
 }
 
 util::Status ShardedStore::RangeHundred(int64_t lo, int64_t hi,
                                         std::vector<NodeRef>* out) {
   if (Single()) return At(0)->RangeHundred(lo, hi, out);
-  return FanRange(/*hundred=*/true, lo, hi, out);
+  return FanRange(Attr::kHundred, lo, hi, out);
 }
 
 util::Status ShardedStore::RangeMillion(int64_t lo, int64_t hi,
                                         std::vector<NodeRef>* out) {
   if (Single()) return At(0)->RangeMillion(lo, hi, out);
-  return FanRange(/*hundred=*/false, lo, hi, out);
+  return FanRange(Attr::kMillion, lo, hi, out);
 }
 
 util::Status ShardedStore::Children(NodeRef node,

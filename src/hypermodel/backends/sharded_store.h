@@ -29,8 +29,10 @@ namespace hm::backends {
 /// transaction (a mid-pair transport failure surfaces kUnavailable
 /// and may leave the pair half-written).
 ///
-/// Reads route by the ref's shard byte. Index scans fan out to every
-/// shard and merge client-side in canonical (value, uniqueId) order.
+/// Reads route by the ref's shard byte. Index scans fan out one
+/// kRangeKeyed call to every shard; each shard returns its hits sorted
+/// in canonical (value, uniqueId) order with their keys, and the
+/// client merges the runs.
 /// §6.6 closures first try single-shard pushdown on the start node's
 /// owner — if the walk stays on one shard it is exactly the remote
 /// fast path — and fall back to the distributed level-synchronous
@@ -49,10 +51,11 @@ namespace hm::backends {
 class ShardedStore : public HyperStore, public TraversalCapable {
  public:
   /// Connects to a running fleet. `addr_list` is the comma-separated
-  /// address list, with or without the shard:// prefix. Each server's
-  /// kShardInfo must answer exactly (its index, fleet size) — a pre-v5
-  /// server or a mis-wired fleet is rejected here, not discovered as
-  /// silent misrouting later. `base_options` supplies everything but
+  /// address list, with or without the shard:// prefix. A server of
+  /// another wire version is refused at Hello; each server's
+  /// kShardInfo must then answer exactly (its index, fleet size) — a
+  /// mis-wired fleet is rejected here, not discovered as silent
+  /// misrouting later. `base_options` supplies everything but
   /// host/port (mode, deadline, retry budget) to every shard client.
   static util::Result<std::unique_ptr<ShardedStore>> Connect(
       const std::string& addr_list, RemoteOptions base_options = {});
@@ -155,8 +158,9 @@ class ShardedStore : public HyperStore, public TraversalCapable {
                         std::vector<int64_t>* values);
   util::Status FanSetAttrs(std::span<const NodeRef> nodes, Attr attr,
                            std::span<const int64_t> values);
-  /// One shard-merged index scan (shared by RangeHundred/Million).
-  util::Status FanRange(bool hundred, int64_t lo, int64_t hi,
+  /// One shard-merged index scan on `attr` (kHundred or kMillion):
+  /// one kRangeKeyed call per shard, the sorted runs merged linearly.
+  util::Status FanRange(Attr attr, int64_t lo, int64_t hi,
                         std::vector<NodeRef>* out);
 
   // Distributed scatter-gather closure kernels (the >1-shard fallback

@@ -62,6 +62,21 @@ struct NodeDistance {
   int64_t distance = 0;
 };
 
+/// One index-scan hit with its sort keys: the indexed attribute's value
+/// and the node's uniqueId. A fleet's range lookups answer in the
+/// canonical order `KeyedRefLess` defines — each shard sorts its own
+/// hits, the routing client merges the shards' runs.
+struct KeyedRef {
+  NodeRef node = kInvalidNode;
+  int64_t value = 0;
+  int64_t unique_id = 0;
+};
+
+/// Canonical cluster scan order: by value, ties broken by uniqueId.
+inline bool KeyedRefLess(const KeyedRef& a, const KeyedRef& b) {
+  return a.value != b.value ? a.value < b.value : a.unique_id < b.unique_id;
+}
+
 inline std::string_view NodeKindName(NodeKind kind) {
   switch (kind) {
     case NodeKind::kInternal:

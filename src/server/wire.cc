@@ -51,6 +51,7 @@ bool IsReadOnlyOp(OpCode op) {
     case OpCode::kLookupUnique:
     case OpCode::kRangeHundred:
     case OpCode::kRangeMillion:
+    case OpCode::kRangeKeyed:
     case OpCode::kChildren:
     case OpCode::kParent:
     case OpCode::kParts:
@@ -127,6 +128,7 @@ std::string_view OpCodeName(OpCode op) {
     case OpCode::kReplStatus: return "repl_status";
     case OpCode::kReplPromote: return "repl_promote";
     case OpCode::kReplFence: return "repl_fence";
+    case OpCode::kRangeKeyed: return "range_keyed";
   }
   return "unknown";
 }

@@ -46,7 +46,8 @@ namespace hm::server {
 /// v4: kPing; kUnavailable / kDeadlineExceeded / kOverloaded codes.
 /// v5: kShardInfo; shard-qualified NodeRefs (cluster/shard_map.h).
 /// v6: kRepl* opcodes (DESIGN.md §16); kReadOnly / kFencedOff codes.
-inline constexpr uint8_t kWireVersion = 6;
+/// v7: kRangeKeyed (a sharded range lookup in one round trip per shard).
+inline constexpr uint8_t kWireVersion = 7;
 
 /// Bytes before the payload: fixed32 length + fixed32 masked CRC.
 inline constexpr size_t kFrameHeaderBytes = 8;
@@ -139,6 +140,13 @@ enum class OpCode : uint8_t {
                         // follower replays its backlog and takes writes
   kReplFence = 47,      // varint fencing epoch -> varint epoch; an old
                         // primary demotes itself and persists the fence
+
+  // ---- v7: keyed index scan (cluster) ----
+  // varint attr (hundred or million) + zig-zag lo, hi -> varint n +
+  // n × (ref, zig-zag value, zig-zag uniqueId), sorted by (value,
+  // uniqueId). The server reads the keys in-process, so a fleet's
+  // range lookup costs one round trip per shard and a linear merge.
+  kRangeKeyed = 48,
 };
 
 /// Stable lower-snake-case opcode name ("get_attr", "closure_1n");

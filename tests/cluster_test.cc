@@ -270,6 +270,64 @@ TEST(ShardedStoreTest, IndexScansMergeInCanonicalOrder) {
   }
 }
 
+TEST(ShardedStoreTest, IndexScansMergeTiesInValueThenUidOrder) {
+  // Ties on the scanned value span shards, each shard's insertion
+  // order differs from uid order (nodes created out of uid order, one
+  // moved into the band afterwards), and value order differs from uid
+  // order. A client that concatenated the shard replies, or sorted by
+  // uid alone, fails here.
+  telemetry::Counter* proxies =
+      telemetry::Registry::Global().GetCounter("cluster.shard.proxy_nodes");
+  for (uint32_t shards : {2u, 4u}) {
+    uint64_t proxies_before = proxies->value();
+    SmallFleet fleet = MakeSmallFleet(shards);
+    auto create = [&](int64_t uid, int64_t value) {
+      NodeAttrs attrs = TestAttrs(uid);
+      attrs.hundred = value;
+      attrs.million = value;
+      auto node = fleet.store->CreateNode(attrs, fleet.root);
+      EXPECT_TRUE(node.ok()) << node.status().ToString();
+      return node.ok() ? *node : kInvalidNode;
+    };
+    std::vector<KeyedRef> want;
+    for (auto [uid, value] : std::vector<std::pair<int64_t, int64_t>>{
+             {37, 50}, {14, 50}, {25, 50}, {11, 50}, {42, 50}, {16, 50},
+             {23, 50}, {31, 50}, {45, 49}, {12, 51}}) {
+      want.push_back({create(uid, value), value, uid});
+    }
+    // Lands last in its shard's bucket for 50, although its uid is the
+    // smallest there.
+    NodeRef moved = create(10, 90);
+    ASSERT_TRUE(fleet.store->SetAttr(moved, Attr::kHundred, 50).ok());
+    ASSERT_TRUE(fleet.store->SetAttr(moved, Attr::kMillion, 50).ok());
+    want.push_back({moved, 50, 10});
+    std::sort(want.begin(), want.end(), KeyedRefLess);
+    std::vector<NodeRef> want_refs;
+    for (const KeyedRef& hit : want) want_refs.push_back(hit.node);
+
+    std::vector<NodeRef> out;
+    ASSERT_TRUE(fleet.store->RangeHundred(49, 51, &out).ok());
+    EXPECT_EQ(out, want_refs) << shards << " shards, hundred";
+    ASSERT_TRUE(fleet.store->RangeMillion(49, 51, &out).ok());
+    EXPECT_EQ(out, want_refs) << shards << " shards, million";
+
+    // The root's cross-shard child edges made proxies, which carry
+    // kProxyUidBase in every indexed attribute: a scan reaching down
+    // to it still returns only the real nodes, each once.
+    EXPECT_GT(proxies->value(), proxies_before);
+    const size_t real_nodes = 1 + shards + want.size();
+    ASSERT_TRUE(
+        fleet.store->RangeHundred(cluster::kProxyUidBase, 100, &out).ok());
+    EXPECT_EQ(out.size(), real_nodes) << shards << " shards, hundred";
+    ASSERT_TRUE(
+        fleet.store->RangeMillion(cluster::kProxyUidBase, 100, &out).ok());
+    EXPECT_EQ(out.size(), real_nodes) << shards << " shards, million";
+    for (NodeRef ref : out) {
+      EXPECT_GT(*fleet.store->GetAttr(ref, Attr::kUniqueId), 0);
+    }
+  }
+}
+
 TEST(ShardedStoreTest, KilledShardSurfacesUnavailable) {
   backends::RemoteOptions client;
   client.deadline_ms = 1000;

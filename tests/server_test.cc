@@ -12,8 +12,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include <chrono>
@@ -253,43 +256,47 @@ std::string HelloPayload(std::string_view body) {
   return payload;
 }
 
+/// A plain socket to `port` on loopback, bypassing RemoteStore so a
+/// test can send payloads the client would never encode.
+int RawConnect(uint16_t port) {
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  EXPECT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  return fd;
+}
+
+/// Frames `payload`, sends it on `fd` and returns the response payload.
+std::string RawRoundTrip(int fd, std::string_view payload) {
+  std::string frame;
+  server::AppendFrame(&frame, payload);
+  EXPECT_TRUE(server::WriteAll(fd, frame));
+  std::string rx;
+  char buf[4096];
+  for (;;) {
+    std::string_view response;
+    size_t frame_len = 0;
+    server::FrameResult decoded =
+        server::DecodeFrame(rx, &response, &frame_len);
+    if (decoded == server::FrameResult::kOk) return std::string(response);
+    EXPECT_EQ(decoded, server::FrameResult::kIncomplete);
+    ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    EXPECT_GT(n, 0);
+    if (n <= 0) return std::string();
+    rx.append(buf, static_cast<size_t>(n));
+  }
+}
+
 TEST(ServerTest, MismatchedHelloIsRefused) {
   // Peers must speak exactly kWireVersion. An empty Hello body (the v1
   // spelling), an older and a newer version are each refused with
   // InvalidArgument naming both versions.
   auto srv = StartMemServer();
   ASSERT_NE(srv, nullptr);
-
-  auto raw_connect = [&] {
-    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    EXPECT_GE(fd, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(srv->port());
-    EXPECT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-    EXPECT_EQ(
-        ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
-    return fd;
-  };
-  auto roundtrip = [](int fd, std::string_view payload) {
-    std::string frame;
-    server::AppendFrame(&frame, payload);
-    EXPECT_TRUE(server::WriteAll(fd, frame));
-    std::string rx;
-    char buf[4096];
-    for (;;) {
-      std::string_view response;
-      size_t frame_len = 0;
-      server::FrameResult decoded =
-          server::DecodeFrame(rx, &response, &frame_len);
-      if (decoded == server::FrameResult::kOk) return std::string(response);
-      EXPECT_EQ(decoded, server::FrameResult::kIncomplete);
-      ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-      EXPECT_GT(n, 0);
-      if (n <= 0) return std::string();
-      rx.append(buf, static_cast<size_t>(n));
-    }
-  };
 
   const std::string server_version =
       "server " + std::to_string(server::kWireVersion);
@@ -299,8 +306,8 @@ TEST(ServerTest, MismatchedHelloIsRefused) {
       {VersionBody(server::kWireVersion + 1), server::kWireVersion + 1},
   };
   for (const auto& [body, client_version] : mismatches) {
-    int fd = raw_connect();
-    std::string response = roundtrip(fd, HelloPayload(body));
+    int fd = RawConnect(srv->port());
+    std::string response = RawRoundTrip(fd, HelloPayload(body));
     ::close(fd);
     util::Status status;
     std::string_view result;
@@ -316,13 +323,89 @@ TEST(ServerTest, MismatchedHelloIsRefused) {
   }
 
   // The exact version on a fresh connection is accepted.
-  int fd = raw_connect();
+  int fd = RawConnect(srv->port());
   std::string hello =
-      roundtrip(fd, HelloPayload(VersionBody(server::kWireVersion)));
+      RawRoundTrip(fd, HelloPayload(VersionBody(server::kWireVersion)));
   ::close(fd);
   ASSERT_GE(hello.size(), 2u);
   EXPECT_EQ(hello[0], 0);  // StatusCode::kOk
   EXPECT_EQ(hello[1], static_cast<char>(server::kWireVersion));
+}
+
+TEST(ServerTest, RangeKeyedAnswersInCanonicalOrder) {
+  // kRangeKeyed returns every hit with its value and uniqueId, sorted
+  // by (value, uniqueId). The nodes tie on `hundred` and are created
+  // out of uid order, and uid 40 moves into the band after uid 50, so
+  // neither insertion order nor uid order alone is the answer.
+  auto srv = StartMemServer();
+  ASSERT_NE(srv, nullptr);
+  auto client = ConnectTo(*srv);
+  ASSERT_NE(client, nullptr);
+  ASSERT_TRUE(client->Begin().ok());
+  std::map<int64_t, NodeRef> by_uid;
+  for (auto [uid, hundred] : std::vector<std::pair<int64_t, int64_t>>{
+           {30, 5}, {10, 5}, {50, 4}, {20, 5}, {40, 9}, {60, 6}}) {
+    NodeAttrs attrs = MakeAttrs(uid);
+    attrs.hundred = hundred;
+    auto node = client->CreateNode(attrs, kInvalidNode);
+    ASSERT_TRUE(node.ok()) << node.status().ToString();
+    by_uid[uid] = *node;
+  }
+  ASSERT_TRUE(client->SetAttr(by_uid[40], Attr::kHundred, 4).ok());
+  ASSERT_TRUE(client->Commit().ok());
+
+  std::vector<KeyedRef> hits;
+  ASSERT_TRUE(client->RangeKeyed(Attr::kHundred, 4, 5, &hits).ok());
+  const std::vector<std::pair<int64_t, int64_t>> want = {
+      {4, 40}, {4, 50}, {5, 10}, {5, 20}, {5, 30}};
+  ASSERT_EQ(hits.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(hits[i].value, want[i].first) << i;
+    EXPECT_EQ(hits[i].unique_id, want[i].second) << i;
+    EXPECT_EQ(hits[i].node, by_uid[want[i].second]) << i;
+  }
+  // kRangeHundred keeps the backend's own order (mem: insertion order
+  // within a value).
+  std::vector<NodeRef> plain;
+  ASSERT_TRUE(client->RangeHundred(4, 5, &plain).ok());
+  EXPECT_EQ(plain, (std::vector<NodeRef>{by_uid[50], by_uid[40], by_uid[30],
+                                         by_uid[10], by_uid[20]}));
+  // The million index answers the same way.
+  hits.clear();
+  ASSERT_TRUE(client->RangeKeyed(Attr::kMillion, 1, 1000000, &hits).ok());
+  ASSERT_EQ(hits.size(), by_uid.size());
+  EXPECT_TRUE(std::is_sorted(hits.begin(), hits.end(), KeyedRefLess));
+
+  // Only the two indexed attributes can be scanned. The attr is
+  // checked as sent: 258 must not wrap to hundred (2).
+  EXPECT_EQ(client->RangeKeyed(Attr::kTen, 1, 10, &hits).code(),
+            util::StatusCode::kInvalidArgument);
+  auto keyed_payload = [](uint64_t attr, bool truncated) {
+    std::string payload(1, static_cast<char>(server::OpCode::kRangeKeyed));
+    util::PutVarint64(&payload, attr);
+    util::PutVarSigned64(&payload, 1);
+    if (!truncated) util::PutVarSigned64(&payload, 100);
+    return payload;
+  };
+  int fd = RawConnect(srv->port());
+  for (auto [attr, truncated, needle] :
+       std::vector<std::tuple<uint64_t, bool, std::string>>{
+           {258, false, "not attr 258"},
+           {static_cast<uint64_t>(Attr::kHundred), true, "malformed"}}) {
+    util::Status status;
+    std::string_view result;
+    std::string response = RawRoundTrip(fd, keyed_payload(attr, truncated));
+    ASSERT_TRUE(server::SplitResponse(response, &status, &result));
+    EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument)
+        << status.ToString();
+    EXPECT_NE(status.message().find(needle), std::string::npos)
+        << status.ToString();
+  }
+  // The connection survives both refusals.
+  std::string ok = RawRoundTrip(fd, keyed_payload(2, false));
+  ::close(fd);
+  ASSERT_FALSE(ok.empty());
+  EXPECT_EQ(ok[0], 0);  // StatusCode::kOk
 }
 
 TEST(ServerTest, ClientRefusesServerOfAnotherVersion) {
