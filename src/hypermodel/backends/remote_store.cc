@@ -60,10 +60,12 @@ bool RetrySafeOp(server::OpCode op) {
   }
 }
 
-/// Decodes one varint-counted ref list from `decoder`, appending.
+/// Decodes one varint-counted ref list from `decoder`, appending. Each
+/// ref takes at least one byte, so a larger count is corrupt rather
+/// than a reason to reserve.
 util::Status GetRefList(util::Decoder* decoder, std::vector<NodeRef>* out) {
   uint64_t count = 0;
-  if (!decoder->GetVarint64(&count)) {
+  if (!decoder->GetVarint64(&count) || count > decoder->Remaining()) {
     return util::Status::Corruption("remote: short node-list response");
   }
   out->reserve(out->size() + count);
@@ -77,9 +79,10 @@ util::Status GetRefList(util::Decoder* decoder, std::vector<NodeRef>* out) {
   return util::Status::Ok();
 }
 
+/// Same for an edge list; each edge takes at least three bytes.
 util::Status GetEdgeList(util::Decoder* decoder, std::vector<RefEdge>* out) {
   uint64_t count = 0;
-  if (!decoder->GetVarint64(&count)) {
+  if (!decoder->GetVarint64(&count) || count > decoder->Remaining() / 3) {
     return util::Status::Corruption("remote: short edge-list response");
   }
   out->reserve(out->size() + count);

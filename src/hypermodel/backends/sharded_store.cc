@@ -27,7 +27,7 @@ util::Result<std::unique_ptr<HyperStore>> MakeLoopbackShard(
 }  // namespace
 
 ShardedStore::ShardedStore(std::vector<std::unique_ptr<RemoteStore>> shards)
-    : shards_(std::move(shards)) {
+    : shards_(std::move(shards)), joined_(shards_.size(), false) {
   auto& registry = telemetry::Registry::Global();
   rpcs_.reserve(shards_.size());
   for (size_t k = 0; k < shards_.size(); ++k) {
@@ -123,28 +123,52 @@ util::Status ShardedStore::ResetServer() {
   return util::Status::Ok();
 }
 
-util::Status ShardedStore::Begin() {
-  for (size_t k = 0; k < shards_.size(); ++k) {
+util::Result<RemoteStore*> ShardedStore::WriteAt(size_t k) {
+  if (txn_active_ && !joined_[k]) {
+    // A separate round trip, never batched with the write: if the join
+    // fails (say another session holds the backend's one transaction),
+    // the write must not already have run outside this transaction.
     HM_RETURN_IF_ERROR(At(k)->Begin());
+    joined_[k] = true;
+  }
+  return At(k);
+}
+
+util::Status ShardedStore::Begin() {
+  if (txn_active_) {
+    return util::Status::InvalidArgument("shard: Begin inside txn");
+  }
+  // Deferred: each shard joins at its first write (WriteAt).
+  txn_active_ = true;
+  return util::Status::Ok();
+}
+
+util::Status ShardedStore::EndTxn(util::Status (RemoteStore::*end)(),
+                                  const char* verb) {
+  if (!txn_active_) {
+    return util::Status::InvalidArgument(std::string("shard: ") + verb +
+                                         " outside txn");
+  }
+  // The transaction is over on the client before anything is sent, so
+  // a failed Commit/Abort still lets the next Begin start clean.
+  txn_active_ = false;
+  std::vector<bool> joined(shards_.size(), false);
+  joined.swap(joined_);
+  // One call per joined shard, in shard order — §14's explicit
+  // non-goal is atomicity across shards; a failure here can leave
+  // earlier shards committed.
+  for (size_t k = 0; k < shards_.size(); ++k) {
+    if (joined[k]) HM_RETURN_IF_ERROR(std::invoke(end, At(k)));
   }
   return util::Status::Ok();
 }
 
 util::Status ShardedStore::Commit() {
-  // One commit per shard, in shard order — §14's explicit non-goal is
-  // atomicity across shards; a failure here can leave earlier shards
-  // committed.
-  for (size_t k = 0; k < shards_.size(); ++k) {
-    HM_RETURN_IF_ERROR(At(k)->Commit());
-  }
-  return util::Status::Ok();
+  return EndTxn(&RemoteStore::Commit, "Commit");
 }
 
 util::Status ShardedStore::Abort() {
-  for (size_t k = 0; k < shards_.size(); ++k) {
-    HM_RETURN_IF_ERROR(At(k)->Abort());
-  }
-  return util::Status::Ok();
+  return EndTxn(&RemoteStore::Abort, "Abort");
 }
 
 util::Status ShardedStore::CloseReopen() {
@@ -166,7 +190,8 @@ util::Result<NodeRef> ShardedStore::CreateNode(const NodeAttrs& attrs,
   } else {
     HM_RETURN_IF_ERROR(OwnerOf(near, &target));
   }
-  HM_ASSIGN_OR_RETURN(NodeRef ref, At(target)->CreateNode(attrs, near));
+  HM_ASSIGN_OR_RETURN(RemoteStore* shard, WriteAt(target));
+  HM_ASSIGN_OR_RETURN(NodeRef ref, shard->CreateNode(attrs, near));
   if (root_ == kInvalidNode) root_ = ref;
   return ref;
 }
@@ -174,13 +199,27 @@ util::Result<NodeRef> ShardedStore::CreateNode(const NodeAttrs& attrs,
 util::Status ShardedStore::SetText(NodeRef node, std::string_view text) {
   size_t k = 0;
   HM_RETURN_IF_ERROR(OwnerOf(node, &k));
-  return At(k)->SetText(node, text);
+  HM_ASSIGN_OR_RETURN(RemoteStore* shard, WriteAt(k));
+  return shard->SetText(node, text);
 }
 
 util::Status ShardedStore::SetForm(NodeRef node, const util::Bitmap& form) {
   size_t k = 0;
   HM_RETURN_IF_ERROR(OwnerOf(node, &k));
-  return At(k)->SetForm(node, form);
+  HM_ASSIGN_OR_RETURN(RemoteStore* shard, WriteAt(k));
+  return shard->SetForm(node, form);
+}
+
+template <typename EdgeCall>
+util::Status ShardedStore::WriteEdge(size_t first, size_t second,
+                                     EdgeCall call) {
+  HM_ASSIGN_OR_RETURN(RemoteStore* shard, WriteAt(first));
+  HM_RETURN_IF_ERROR(call(shard));
+  if (second == first) return util::Status::Ok();
+  HM_ASSIGN_OR_RETURN(shard, WriteAt(second));
+  HM_RETURN_IF_ERROR(call(shard));
+  cross_edges_->Add();
+  return util::Status::Ok();
 }
 
 util::Status ShardedStore::AddChild(NodeRef parent, NodeRef child) {
@@ -188,14 +227,12 @@ util::Status ShardedStore::AddChild(NodeRef parent, NodeRef child) {
   size_t ck = 0;
   HM_RETURN_IF_ERROR(OwnerOf(parent, &pk));
   HM_RETURN_IF_ERROR(OwnerOf(child, &ck));
-  if (pk == ck) return At(pk)->AddChild(parent, child);
   // Child's shard first: it holds the real child node, so its
   // single-parent check is the authoritative one — a second parent is
   // rejected before the parent side learns anything.
-  HM_RETURN_IF_ERROR(At(ck)->AddChild(parent, child));
-  HM_RETURN_IF_ERROR(At(pk)->AddChild(parent, child));
-  cross_edges_->Add();
-  return util::Status::Ok();
+  return WriteEdge(ck, pk, [&](RemoteStore* shard) {
+    return shard->AddChild(parent, child);
+  });
 }
 
 util::Status ShardedStore::AddPart(NodeRef owner, NodeRef part) {
@@ -203,11 +240,9 @@ util::Status ShardedStore::AddPart(NodeRef owner, NodeRef part) {
   size_t pk = 0;
   HM_RETURN_IF_ERROR(OwnerOf(owner, &ok));
   HM_RETURN_IF_ERROR(OwnerOf(part, &pk));
-  if (ok == pk) return At(ok)->AddPart(owner, part);
-  HM_RETURN_IF_ERROR(At(ok)->AddPart(owner, part));
-  HM_RETURN_IF_ERROR(At(pk)->AddPart(owner, part));
-  cross_edges_->Add();
-  return util::Status::Ok();
+  return WriteEdge(ok, pk, [&](RemoteStore* shard) {
+    return shard->AddPart(owner, part);
+  });
 }
 
 util::Status ShardedStore::AddRef(NodeRef from, NodeRef to,
@@ -216,11 +251,9 @@ util::Status ShardedStore::AddRef(NodeRef from, NodeRef to,
   size_t tk = 0;
   HM_RETURN_IF_ERROR(OwnerOf(from, &fk));
   HM_RETURN_IF_ERROR(OwnerOf(to, &tk));
-  if (fk == tk) return At(fk)->AddRef(from, to, offset_from, offset_to);
-  HM_RETURN_IF_ERROR(At(fk)->AddRef(from, to, offset_from, offset_to));
-  HM_RETURN_IF_ERROR(At(tk)->AddRef(from, to, offset_from, offset_to));
-  cross_edges_->Add();
-  return util::Status::Ok();
+  return WriteEdge(fk, tk, [&](RemoteStore* shard) {
+    return shard->AddRef(from, to, offset_from, offset_to);
+  });
 }
 
 util::Result<int64_t> ShardedStore::GetAttr(NodeRef node, Attr attr) {
@@ -232,7 +265,8 @@ util::Result<int64_t> ShardedStore::GetAttr(NodeRef node, Attr attr) {
 util::Status ShardedStore::SetAttr(NodeRef node, Attr attr, int64_t value) {
   size_t k = 0;
   HM_RETURN_IF_ERROR(OwnerOf(node, &k));
-  return At(k)->SetAttr(node, attr, value);
+  HM_ASSIGN_OR_RETURN(RemoteStore* shard, WriteAt(k));
+  return shard->SetAttr(node, attr, value);
 }
 
 util::Result<NodeKind> ShardedStore::GetKind(NodeRef node) {
@@ -256,7 +290,8 @@ util::Result<util::Bitmap> ShardedStore::GetForm(NodeRef node) {
 util::Status ShardedStore::SetContents(NodeRef node, std::string_view data) {
   size_t k = 0;
   HM_RETURN_IF_ERROR(OwnerOf(node, &k));
-  return At(k)->SetContents(node, data);
+  HM_ASSIGN_OR_RETURN(RemoteStore* shard, WriteAt(k));
+  return shard->SetContents(node, data);
 }
 
 util::Result<std::string> ShardedStore::GetContents(NodeRef node) {
@@ -419,7 +454,8 @@ util::Status ShardedStore::FanSetAttrs(std::span<const NodeRef> nodes,
   for (size_t k = 0; k < shards_.size(); ++k) {
     if (per[k].empty()) continue;
     ++touched;
-    HM_RETURN_IF_ERROR(At(k)->SetAttrsMulti(per[k], attr, vals[k]));
+    HM_ASSIGN_OR_RETURN(RemoteStore* shard, WriteAt(k));
+    HM_RETURN_IF_ERROR(shard->SetAttrsMulti(per[k], attr, vals[k]));
   }
   fanout_->Record(touched);
   return util::Status::Ok();
@@ -473,7 +509,10 @@ util::Result<int64_t> ShardedStore::TravClosure1NAttSum(NodeRef start,
 util::Result<uint64_t> ShardedStore::TravClosure1NAttSet(NodeRef start) {
   size_t k = 0;
   HM_RETURN_IF_ERROR(OwnerOf(start, &k));
-  if (Single()) return At(0)->TravClosure1NAttSet(start);
+  if (Single()) {
+    HM_ASSIGN_OR_RETURN(RemoteStore* shard, WriteAt(0));
+    return shard->TravClosure1NAttSet(start);
+  }
   // Never pushed down on a fleet: the server-side kernel writes as it
   // walks, so a shard crossing would abort after mutating a prefix of
   // the subtree. Enumerate read-only first, then write per shard.

@@ -29,6 +29,16 @@ namespace hm::backends {
 /// transaction (a mid-pair transport failure surfaces kUnavailable
 /// and may leave the pair half-written).
 ///
+/// Transactions are lazy per shard. `Begin` sends nothing; shard k
+/// joins — gets its own kBegin, in a frame of its own — just before
+/// the first mutating call routed to it, and `Commit`/`Abort` reach
+/// only the joined shards, in shard order, stopping at the first
+/// failure. Reads never join (no backend needs a server transaction
+/// to read), so a read-only bracket costs no round trip at all and an
+/// edit touching one shard pays one Begin and one Commit. Each shard
+/// still commits on its own: a failure part-way leaves earlier shards
+/// committed, exactly as when every shard was bracketed.
+///
 /// Reads route by the ref's shard byte. Index scans fan out one
 /// kRangeKeyed call to every shard; each shard returns its hits sorted
 /// in canonical (value, uniqueId) order with their keys, and the
@@ -142,6 +152,19 @@ class ShardedStore : public HyperStore, public TraversalCapable {
   bool Single() const { return shards_.size() == 1; }
   /// Shard client k, counting the logical call against its telemetry.
   RemoteStore* At(size_t k);
+  /// Shard client k for a mutating call — every write goes through
+  /// here. Inside a transaction, shard k first joins it with a kBegin
+  /// of its own; a failed join returns that error and the write is
+  /// never sent.
+  util::Result<RemoteStore*> WriteAt(size_t k);
+  /// Ends the transaction on the client, then sends `end` (Commit or
+  /// Abort) to each joined shard in shard order.
+  util::Status EndTxn(util::Status (RemoteStore::*end)(), const char* verb);
+  /// Writes one edge through `call(shard)` on shard `first`, then —
+  /// when the endpoints live apart — on shard `second`, counting a
+  /// cross-shard edge.
+  template <typename EdgeCall>
+  util::Status WriteEdge(size_t first, size_t second, EdgeCall call);
   /// Validates the ref's shard byte against the fleet size.
   util::Status OwnerOf(NodeRef node, size_t* shard) const;
 
@@ -178,6 +201,9 @@ class ShardedStore : public HyperStore, public TraversalCapable {
                                        std::vector<NodeDistance>* out);
 
   std::vector<std::unique_ptr<RemoteStore>> shards_;
+  bool txn_active_ = false;  // Begin() seen, Commit/Abort not yet
+  /// joined_[k]: shard k has received this transaction's kBegin.
+  std::vector<bool> joined_;
   /// First node ever created through this client — the §5 root, whose
   /// `near` hint spreads level-1 subtrees across the fleet.
   NodeRef root_ = kInvalidNode;

@@ -52,6 +52,26 @@ const OpMetrics& MetricsFor(uint8_t op) {
   return (*table)[op];
 }
 
+/// False for the opcodes served without a database: session set-up,
+/// Reset itself, introspection and the replication control plane.
+bool TouchesBackend(OpCode op) {
+  switch (op) {
+    case OpCode::kHello:
+    case OpCode::kReset:
+    case OpCode::kStats:
+    case OpCode::kPing:
+    case OpCode::kShardInfo:
+    case OpCode::kReplSubscribe:
+    case OpCode::kReplSegment:
+    case OpCode::kReplStatus:
+    case OpCode::kReplPromote:
+    case OpCode::kReplFence:
+      return false;
+    default:
+      return true;
+  }
+}
+
 /// Ceiling on a client-supplied BFS depth; anything above it is a
 /// malformed (or hostile) count, not a legitimate traversal bound.
 constexpr uint64_t kMaxTraversalDepth = 1u << 20;
@@ -368,6 +388,17 @@ void Server::DispatchLocked(Session* session, OpCode op, bool is_batch,
     return;
   }
 
+  // After a failed rebuild there is no database: only the opcodes that
+  // never touch one are served, so a client can still connect and
+  // send the kReset that retries the factory.
+  if (backend_ == nullptr && (is_batch || TouchesBackend(op))) {
+    PutStatus(response,
+              util::Status::Unavailable(
+                  "server has no database after a failed reset; send "
+                  "Reset to rebuild it"));
+    return;
+  }
+
   if (is_batch) {
     PutStatus(response, util::Status::Ok());
     util::PutVarint64(response, subs.size());
@@ -470,7 +501,7 @@ void Server::DispatchOneImpl(Session* session, std::string_view request,
         return;
       }
       session->epoch = reset_epoch_;  // re-handshake adopts the current DB
-      std::string name = backend_->name();
+      std::string name = backend_ != nullptr ? backend_->name() : "none";
       reply(util::Status::Ok(), [&] {
         response->push_back(static_cast<char>(kWireVersion));
         util::PutLengthPrefixed(response, name);
@@ -492,14 +523,9 @@ void Server::DispatchOneImpl(Session* session, std::string_view request,
             "server was started without a reset factory"));
         return;
       }
-      auto fresh = options_.reset_factory();
-      if (!fresh.ok()) {
-        reply_status(fresh.status());
-        return;
-      }
-      ResetBackendExclusive(std::move(*fresh));
+      util::Status rebuilt = RebuildBackendExclusive();
       session->epoch = reset_epoch_;
-      reply_status(util::Status::Ok());
+      reply_status(rebuilt);
       return;
     }
     case OpCode::kBegin:

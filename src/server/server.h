@@ -208,7 +208,7 @@ class Server {
   /// The locked half of Dispatch: epoch bookkeeping plus the batch
   /// loop. Declared with the *shared* requirement — the weakest side
   /// it ever runs under; mutating opcodes additionally hold the
-  /// exclusive side (see MarkDirty / ResetBackendExclusive).
+  /// exclusive side (see MarkDirty / RebuildBackendExclusive).
   void DispatchLocked(Session* session, OpCode op, bool is_batch,
                       const std::vector<std::string_view>& subs,
                       std::string_view request, std::string* response)
@@ -238,16 +238,24 @@ class Server {
   /// DispatchOneImpl's shared requirement, so this write is exempted
   /// per-site here instead of weakening the annotations.
   void MarkDirty() HM_NO_THREAD_SAFETY_ANALYSIS { dirty_ = true; }
-  /// Installs a freshly rebuilt backend and bumps the reset epoch.
+  /// Rebuilds the served database through options_.reset_factory and
+  /// bumps the reset epoch. The old store is destroyed first, so a
+  /// factory that wipes and reopens the same directory never races the
+  /// old store's files. If the factory fails the server is left with
+  /// no database (and still dirty) until a later kReset succeeds.
   /// Same per-site exemption as MarkDirty(): kReset always dispatches
   /// on the exclusive side.
-  void ResetBackendExclusive(std::unique_ptr<HyperStore> fresh)
-      HM_NO_THREAD_SAFETY_ANALYSIS {
-    backend_ = std::move(fresh);
+  util::Status RebuildBackendExclusive() HM_NO_THREAD_SAFETY_ANALYSIS {
+    backend_.reset();
     ++reset_epoch_;
+    concurrent_reads_ok_.store(false, std::memory_order_relaxed);
+    auto fresh = options_.reset_factory();
+    if (!fresh.ok()) return fresh.status();
+    backend_ = std::move(*fresh);
     dirty_ = false;
     concurrent_reads_ok_.store(backend_->SupportsConcurrentReads(),
                                std::memory_order_relaxed);
+    return util::Status::Ok();
   }
 
   /// Tracks sockets currently being served so Stop() can shut them
@@ -259,9 +267,10 @@ class Server {
   void UntrackFd(int fd);
 
   ServerOptions options_;
-  /// Swapped only by ResetBackendExclusive (exclusive side held);
+  /// Swapped only by RebuildBackendExclusive (exclusive side held);
   /// dereferenced under either side of backend_mu_ and by the public
-  /// backend() accessor, so it carries no HM_GUARDED_BY.
+  /// backend() accessor, so it carries no HM_GUARDED_BY. Null only
+  /// after a failed rebuild.
   std::unique_ptr<HyperStore> backend_;
   /// Shared for read-only opcodes (when the backend allows concurrent
   /// reads), exclusive for everything else. reset_epoch_ and dirty_

@@ -188,9 +188,11 @@ struct SmallFleet {
   std::vector<NodeRef> children;
 };
 
-SmallFleet MakeSmallFleet(uint32_t shards) {
+SmallFleet MakeSmallFleet(uint32_t shards,
+                          backends::RemoteOptions client = {}) {
   SmallFleet fleet;
-  auto store = backends::ShardedStore::Loopback(shards);
+  auto store = backends::ShardedStore::Loopback(
+      shards, backends::RemoteMode::kPushdown, client);
   EXPECT_TRUE(store.ok()) << store.status().ToString();
   fleet.store = std::move(*store);
   auto root = fleet.store->CreateNode(TestAttrs(1), kInvalidNode);
@@ -351,6 +353,125 @@ TEST(ShardedStoreTest, KilledShardSurfacesUnavailable) {
   EXPECT_TRUE((*store)->GetAttr(*on1, Attr::kTen).status().IsUnavailable());
   std::vector<NodeRef> out;
   EXPECT_TRUE((*store)->RangeHundred(1, 100, &out).IsUnavailable());
+}
+
+// ---- Lazy transaction bracket -----------------------------------------
+//
+// A shard joins a transaction (gets its kBegin) only at the first write
+// routed to it, and Commit/Abort reach only joined shards. Counted as
+// requests each loopback shard's server has served.
+
+std::vector<uint64_t> Served(backends::ShardedStore* store) {
+  std::vector<uint64_t> served;
+  for (size_t k = 0; k < store->shard_count(); ++k) {
+    served.push_back(store->shard(k)->owned_server()->requests_served());
+  }
+  return served;
+}
+
+std::vector<uint64_t> ServedSince(backends::ShardedStore* store,
+                                  const std::vector<uint64_t>& before) {
+  std::vector<uint64_t> delta = Served(store);
+  for (size_t k = 0; k < delta.size(); ++k) delta[k] -= before[k];
+  return delta;
+}
+
+TEST(ShardedStoreTest, ReadOnlyTxnSendsNoBeginOrCommit) {
+  SmallFleet fleet = MakeSmallFleet(2);
+  std::vector<uint64_t> before = Served(fleet.store.get());
+  ASSERT_TRUE(fleet.store->Begin().ok());
+  EXPECT_TRUE(fleet.store->GetAttr(fleet.root, Attr::kTen).ok());
+  EXPECT_TRUE(fleet.store->GetAttr(fleet.children[1], Attr::kTen).ok());
+  ASSERT_TRUE(fleet.store->Commit().ok());
+  // Only the two reads went out: one per shard.
+  EXPECT_EQ(ServedSince(fleet.store.get(), before),
+            (std::vector<uint64_t>{1, 1}));
+
+  before = Served(fleet.store.get());
+  ASSERT_TRUE(fleet.store->Begin().ok());
+  ASSERT_TRUE(fleet.store->Commit().ok());
+  EXPECT_EQ(ServedSince(fleet.store.get(), before),
+            (std::vector<uint64_t>{0, 0}));
+}
+
+TEST(ShardedStoreTest, TxnBeginsAndCommitsOnlyOnWrittenShard) {
+  SmallFleet fleet = MakeSmallFleet(2);
+  NodeRef on1 = fleet.children[1];
+  ASSERT_EQ(cluster::ShardOf(on1), 1u);
+  std::vector<uint64_t> before = Served(fleet.store.get());
+  ASSERT_TRUE(fleet.store->Begin().ok());
+  EXPECT_TRUE(fleet.store->GetAttr(fleet.root, Attr::kTen).ok());
+  auto placed = fleet.store->CreateNode(TestAttrs(10), on1);
+  ASSERT_TRUE(placed.ok()) << placed.status().ToString();
+  ASSERT_EQ(cluster::ShardOf(*placed), 1u);
+  ASSERT_TRUE(fleet.store->SetAttr(on1, Attr::kTen, 7).ok());
+  ASSERT_TRUE(fleet.store->Commit().ok());
+  // Shard 0 saw the read only; shard 1 saw Begin, both writes, Commit.
+  EXPECT_EQ(ServedSince(fleet.store.get(), before),
+            (std::vector<uint64_t>{1, 4}));
+  EXPECT_EQ(*fleet.store->GetAttr(on1, Attr::kTen), 7);
+
+  // A cross-shard edge joins both endpoint shards, each once.
+  before = Served(fleet.store.get());
+  ASSERT_TRUE(fleet.store->Begin().ok());
+  ASSERT_TRUE(fleet.store->AddPart(fleet.children[0], on1).ok());
+  ASSERT_TRUE(fleet.store->AddRef(on1, fleet.children[0], 1, 2).ok());
+  ASSERT_TRUE(fleet.store->Commit().ok());
+  EXPECT_EQ(ServedSince(fleet.store.get(), before),
+            (std::vector<uint64_t>{4, 4}));
+}
+
+TEST(ShardedStoreTest, AbortReachesOnlyJoinedShards) {
+  SmallFleet fleet = MakeSmallFleet(2);
+  // Nothing joined, so nothing is sent and MemStore's Abort (which
+  // cannot roll back) is never asked.
+  std::vector<uint64_t> before = Served(fleet.store.get());
+  ASSERT_TRUE(fleet.store->Begin().ok());
+  EXPECT_TRUE(fleet.store->GetAttr(fleet.children[1], Attr::kTen).ok());
+  EXPECT_TRUE(fleet.store->Abort().ok());
+  EXPECT_EQ(ServedSince(fleet.store.get(), before),
+            (std::vector<uint64_t>{0, 1}));
+
+  before = Served(fleet.store.get());
+  ASSERT_TRUE(fleet.store->Begin().ok());
+  ASSERT_TRUE(fleet.store->SetAttr(fleet.children[1], Attr::kTen, 3).ok());
+  EXPECT_EQ(fleet.store->Abort().code(), util::StatusCode::kNotSupported);
+  EXPECT_EQ(ServedSince(fleet.store.get(), before),
+            (std::vector<uint64_t>{0, 3}));
+}
+
+TEST(ShardedStoreTest, TxnMisuseIsInvalidArgument) {
+  SmallFleet fleet = MakeSmallFleet(2);
+  EXPECT_EQ(fleet.store->Commit().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(fleet.store->Abort().code(), util::StatusCode::kInvalidArgument);
+  ASSERT_TRUE(fleet.store->Begin().ok());
+  EXPECT_EQ(fleet.store->Begin().code(), util::StatusCode::kInvalidArgument);
+  // The misplaced Begin did not end the open transaction.
+  ASSERT_TRUE(fleet.store->Commit().ok());
+  EXPECT_EQ(fleet.store->Commit().code(), util::StatusCode::kInvalidArgument);
+}
+
+TEST(ShardedStoreTest, FailedCommitEndsTxnSoNextBeginWorks) {
+  backends::RemoteOptions client;
+  client.deadline_ms = 1000;
+  client.max_retries = 1;
+  client.backoff_base_ms = 1;
+  client.backoff_cap_ms = 5;
+  SmallFleet fleet = MakeSmallFleet(2, client);
+  backends::ShardedStore* store = fleet.store.get();
+
+  ASSERT_TRUE(store->Begin().ok());
+  ASSERT_TRUE(store->SetAttr(fleet.root, Attr::kTen, 4).ok());
+  ASSERT_TRUE(store->SetAttr(fleet.children[1], Attr::kTen, 4).ok());
+  store->shard(1)->owned_server()->Stop();
+  // Shard 0 commits, shard 1 cannot: the error surfaces, and the
+  // transaction is over on the client all the same.
+  EXPECT_TRUE(store->Commit().IsUnavailable());
+
+  ASSERT_TRUE(store->Begin().ok());
+  EXPECT_TRUE(store->SetAttr(fleet.root, Attr::kTen, 5).ok());
+  EXPECT_TRUE(store->Commit().ok());
+  EXPECT_EQ(*store->GetAttr(fleet.root, Attr::kTen), 5);
 }
 
 TEST(ShardedStoreTest, ConnectRejectsMiswiredFleet) {

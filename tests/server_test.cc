@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <thread>
@@ -22,6 +23,7 @@
 #include <chrono>
 
 #include "hypermodel/backends/mem_store.h"
+#include "hypermodel/backends/oodb_store.h"
 #include "hypermodel/backends/remote_store.h"
 #include "telemetry/metrics.h"
 #include "util/failpoint.h"
@@ -178,6 +180,77 @@ TEST(ServerTest, ResetRecreatesBackend) {
   ASSERT_TRUE(client->Begin().ok());
   EXPECT_TRUE(client->CreateNode(MakeAttrs(1), kInvalidNode).ok());
   ASSERT_TRUE(client->Commit().ok());
+}
+
+TEST(ServerTest, ResetRebuildsPersistentStoreInItsOwnDirectory) {
+  // The `hmbench serve` shape: the factory wipes and reopens the one
+  // directory the served store lives in. The old store must be gone
+  // before the factory runs, or the new one trips over its WAL files.
+  const std::string dir =
+      ::testing::TempDir() + "/hm_server_reset_oodb";
+  std::filesystem::remove_all(dir);
+  auto open_fresh = [dir]() -> util::Result<std::unique_ptr<HyperStore>> {
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    backends::OodbOptions options;
+    options.cache_pages = 64;
+    options.sync_commits = false;
+    auto store = backends::OodbStore::Open(options, dir);
+    if (!store.ok()) return store.status();
+    return std::unique_ptr<HyperStore>(std::move(*store));
+  };
+  auto first = open_fresh();
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  server::ServerOptions options;
+  options.host = "127.0.0.1";
+  options.port = 0;
+  options.reset_factory = open_fresh;
+  auto srv = server::Server::Start(options, std::move(*first));
+  ASSERT_TRUE(srv.ok()) << srv.status().ToString();
+  auto client = ConnectTo(**srv);
+  ASSERT_NE(client, nullptr);
+
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE(round);
+    ASSERT_TRUE(client->Begin().ok());
+    ASSERT_TRUE(client->CreateNode(MakeAttrs(1), kInvalidNode).ok());
+    ASSERT_TRUE(client->Commit().ok());
+    util::Status reset = client->ResetServer();
+    ASSERT_TRUE(reset.ok()) << reset.ToString();
+    util::Status reopened = client->CloseReopen();
+    ASSERT_TRUE(reopened.ok()) << reopened.ToString();
+    EXPECT_TRUE(client->LookupUnique(1).status().IsNotFound());
+  }
+  client.reset();
+  (*srv)->Stop();
+  srv->reset();
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ServerTest, FailedResetLeavesNoDatabaseUntilNextReset) {
+  int calls = 0;
+  server::ServerOptions options;
+  options.reset_factory =
+      [&calls]() -> util::Result<std::unique_ptr<HyperStore>> {
+    if (++calls == 1) return util::Status::IoError("disk full");
+    return std::unique_ptr<HyperStore>(std::make_unique<MemStore>());
+  };
+  auto srv = StartMemServer(options);
+  ASSERT_NE(srv, nullptr);
+  auto client = ConnectTo(*srv);
+  ASSERT_NE(client, nullptr);
+  ASSERT_TRUE(client->CreateNode(MakeAttrs(1), kInvalidNode).ok());
+
+  EXPECT_EQ(client->ResetServer().code(), util::StatusCode::kIoError);
+  // The old store is gone: data ops are refused with a typed error,
+  // while a new session can still connect and retry the Reset.
+  EXPECT_TRUE(client->LookupUnique(1).status().IsUnavailable());
+  auto second = ConnectTo(*srv);
+  ASSERT_NE(second, nullptr);
+  ASSERT_TRUE(second->ResetServer().ok());
+  EXPECT_TRUE(second->LookupUnique(1).status().IsNotFound());
+  EXPECT_TRUE(second->CreateNode(MakeAttrs(1), kInvalidNode).ok());
+  EXPECT_EQ(calls, 2);
 }
 
 TEST(ServerTest, ResetWithoutFactoryIsNotSupportedOnceDirty) {
@@ -468,6 +541,80 @@ TEST(ServerTest, ClientRefusesServerOfAnotherVersion) {
   EXPECT_NE(message.find("server " + std::to_string(old_version)),
             std::string::npos)
       << message;
+}
+
+TEST(ServerTest, ClientRejectsInflatedListCounts) {
+  // A raw listener answers Hello properly, then every other request
+  // with Ok and a list count of 2^40 backed by one byte. Children and
+  // RefsTo must report Corruption — no throw, no reservation sized by
+  // the count.
+  int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = 0;
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr),
+                   sizeof(addr)),
+            0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&addr),
+                          &len),
+            0);
+
+  std::thread responder([&] {
+    int fd = ::accept(listener, nullptr, nullptr);
+    if (fd < 0) return;
+    std::string rx;
+    char buf[256];
+    for (;;) {
+      std::string_view request;
+      size_t frame_len = 0;
+      server::FrameResult decoded =
+          server::DecodeFrame(rx, &request, &frame_len);
+      if (decoded == server::FrameResult::kIncomplete) {
+        ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+        if (n <= 0) break;
+        rx.append(buf, static_cast<size_t>(n));
+        continue;
+      }
+      if (decoded != server::FrameResult::kOk || request.empty()) break;
+      std::string reply;
+      server::PutStatus(&reply, util::Status::Ok());
+      if (static_cast<server::OpCode>(request[0]) == server::OpCode::kHello) {
+        reply.push_back(static_cast<char>(server::kWireVersion));
+        util::PutLengthPrefixed(&reply, "mem");
+      } else {
+        util::PutVarint64(&reply, uint64_t{1} << 40);
+        reply.push_back('\x01');
+      }
+      rx.erase(0, frame_len);
+      std::string frame;
+      server::AppendFrame(&frame, reply);
+      if (!server::WriteAll(fd, frame)) break;
+    }
+    ::close(fd);
+  });
+
+  backends::RemoteOptions options;
+  options.host = "127.0.0.1";
+  options.port = ntohs(addr.sin_port);
+  options.max_retries = 0;
+  options.deadline_ms = 2000;
+  auto store = RemoteStore::Connect(options);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  std::vector<NodeRef> refs;
+  util::Status children = (*store)->Children(1, &refs);
+  EXPECT_EQ(children.code(), util::StatusCode::kCorruption)
+      << children.ToString();
+  std::vector<RefEdge> edges;
+  util::Status refs_to = (*store)->RefsTo(1, &edges);
+  EXPECT_EQ(refs_to.code(), util::StatusCode::kCorruption)
+      << refs_to.ToString();
+  store->reset();
+  responder.join();
+  ::close(listener);
 }
 
 TEST(ServerTest, ConcurrentReadersRunUnderSharedLock) {
